@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from multiprocessing import Pool
 
 from . import linalg
-from .criterion import (
-    check_global_identifiability,
-    find_violating_set_exhaustive,
-    is_generically_identifiable_simple,
-)
+from .criterion import check_global_identifiability, find_violating_set_exhaustive
 from .errors import SemidentError
 from .graphs import MixedGraph, is_simple, relabel_topologically
 from .inversion import rank_condition
-from .params import i_minus_lambda_inv, sample_parameters
+from .params import sample_parameters
 from .witness import construct_witness
 
 #: hard cap on census node counts

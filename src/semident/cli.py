@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simple-only", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser

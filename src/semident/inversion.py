@@ -7,6 +7,17 @@ condition
 
     rank( Omega_{[i] \\ S(i), [i]} (I - Lambda)^{-1}_{[i], P(i)} ) = |P(i)|.
 
+Two facts of topological labels keep every step cheap. Once the first i
+nodes are recovered, Gamma = I - Lambda_{[i],[i]} has Gram matrix
+Gamma^{-T} Omega_{[i],[i]} Gamma^{-1} equal to Sigma_{[i],[i]}, so the step
+system reads
+
+    [ Sigma_{[i], P(i)} | (Gamma^{-T})_{[i], S(i)} ] x = Sigma_{[i], i+1}.
+
+And (I - Lambda)^{-1} grows by one column per step: column i+1 is e_{i+1}
+plus lambda_{k,i+1} times column k summed over the parents k in P(i), the
+path-sum recurrence of ``params.path_inverse``. No step inverts a matrix.
+
 When a step is rank deficient by one, ``fiber_trace`` follows the solution
 line symbolically and reports the structure of the fiber.
 """
@@ -28,8 +39,8 @@ from .errors import (
     SemidentError,
     UnresolvedFiberError,
 )
-from .graphs import MixedGraph, find_directed_cycle, is_acyclic, siblings_below
-from .params import i_minus_lambda_inv, phi
+from .graphs import MixedGraph, find_directed_cycle, siblings_below
+from .params import phi
 
 #: relative residual threshold deciding whether a step system is consistent
 CONSISTENCY_REL_TOL = 1e-8
@@ -48,54 +59,67 @@ class StepRecord:
     """Rank condition evaluated at one inversion step.
 
     ``matrix`` is Omega_{[i] \\ S(i), [i]} (I - Lambda)^{-1}_{[i], P(i)};
-    the step passes iff its rank equals |P(i)|. ``solution`` carries the
-    recovered (lambda_{P(i)}, omega_{S(i)}, omega_{i+1,i+1}) when filled in
-    by the inversion routine.
+    the step passes iff its rank equals |P(i)|.
     """
 
     step: int
     matrix: np.ndarray
     rank: int
     required_rank: int
-    solution: tuple | None = None
 
     @property
     def passed(self) -> bool:
         return self.rank == self.required_rank
 
 
+# -- the step kernel ----------------------------------------------------
+
+
+def _step_indices(g: MixedGraph, i: int) -> tuple[list[int], list[int]]:
+    """P(i) and S(i) of step i as sorted 0-based indices."""
+    p = sorted(v - 1 for v in g.parents(i + 1))
+    s = sorted(v - 1 for v in siblings_below(g, i))
+    return p, s
+
+
+def _grow_inverse(inv, lam, i: int, p: list[int]) -> None:
+    """Fill column i of (I - Lambda)^{-1} from the columns of its parents p.
+
+    Works on numpy and sympy matrices alike. Only rows above i change: under
+    topological labels the inverse is unit upper triangular.
+    """
+    for k in p:
+        inv[:i, i] = inv[:i, i] + inv[:i, k] * lam[k, i]
+
+
+def _step_record(omega: np.ndarray, inv: np.ndarray, p, s, i: int) -> StepRecord:
+    """Reduced rank matrix of step i; ``inv`` needs its leading i columns only."""
+    rows = [r for r in range(i) if r not in s]
+    mat = omega[rows, :i] @ inv[:i, p]
+    return StepRecord(step=i, matrix=mat, rank=linalg.matrix_rank(mat), required_rank=len(p))
+
+
+def _omega_remainder(sigma: np.ndarray, inv: np.ndarray, lamv, wv, i: int):
+    """omega_{i+1,i+1} left over once lambda_{[i],i+1} and omega_{[i],i+1} are fixed.
+
+    ``inv`` needs its leading i columns only; Sigma_{[i],[i]} stands in for
+    the Gram matrix of the first i nodes.
+    """
+    return sigma[i, i] - lamv @ sigma[:i, :i] @ lamv - 2 * (wv @ inv[:i, :i] @ lamv)
+
+
 def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) -> StepRecord:
-    """Evaluate the step-i rank condition at a parameter pair."""
+    """Evaluate the step-i rank condition at a parameter pair.
+
+    ``lam`` is read on the directed support only.
+    """
     _require_topological(g)
     if not 1 <= i <= g.m - 1:
         raise SemidentError(f"step index {i} out of range 1..{g.m - 1}")
-    inv = i_minus_lambda_inv(g, lam)
-    p = sorted(v - 1 for v in g.parents(i + 1))
-    s = set(v - 1 for v in siblings_below(g, i))
-    rows = [r for r in range(i) if r not in s]
-    mat = omega[np.ix_(rows, list(range(i)))] @ inv[np.ix_(list(range(i)), p)]
-    return StepRecord(
-        step=i,
-        matrix=mat,
-        rank=linalg.matrix_rank(mat),
-        required_rank=len(p),
-    )
-
-
-def _step_system(lam, omega, sigma, g: MixedGraph, i: int):
-    """Matrix A and right-hand side b of the step-i linear system.
-
-    Columns of A correspond to the unknowns (lambda_{P(i)}, omega_{S(i)}).
-    """
-    backend = linalg.backend_of(sigma)
-    p = sorted(v - 1 for v in g.parents(i + 1))
-    s = sorted(v - 1 for v in siblings_below(g, i))
-    gamma = linalg.identity(i, backend) - lam[:i, :i]
-    ginv = linalg.mat_inv(gamma)
-    gtpg = ginv.T @ omega[:i, :i] @ ginv
-    a = np.concatenate([gtpg[:, p], ginv[s, :].T], axis=1)
-    b = sigma[:i, i]
-    return a, b, p, s, ginv, gtpg
+    inv = linalg.identity(i, linalg.backend_of(lam))
+    for j in range(1, i):
+        _grow_inverse(inv, lam, j, _step_indices(g, j)[0])
+    return _step_record(omega, inv, *_step_indices(g, i), i)
 
 
 def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,28 +139,26 @@ def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = g.m
     lam = linalg.zeros(m, m, backend)
     omega = linalg.zeros(m, m, backend)
+    inv = linalg.identity(m, backend)
     omega[0, 0] = sigma[0, 0]
     scale = max(1.0, linalg.max_abs(sigma))
     for i in range(1, m):
-        a, b, p, s, ginv, gtpg = _step_system(lam, omega, sigma, g, i)
+        p, s = _step_indices(g, i)
         # rank decision on the reduced matrix, not the raw step system
-        rec = rank_condition(g, lam, omega, i)
-        if not rec.passed:
+        if not _step_record(omega, inv, p, s, i).passed:
             raise RankDeficientStepError(i)
-        res = linalg.solve_linear(a, b)
+        a = np.concatenate([sigma[:i, p], inv[s, :i].T], axis=1)
+        res = linalg.solve_linear(a, sigma[:i, i])
         if res.solution is None or (
             backend == "float" and res.residual > CONSISTENCY_REL_TOL * scale
         ):
             raise InconsistentSystemError(i, res.residual)
         x = res.solution
-        for k, col in enumerate(p):
-            lam[col, i] = x[k]
-        for k, col in enumerate(s):
-            omega[col, i] = x[len(p) + k]
-            omega[i, col] = x[len(p) + k]
-        lamv = lam[:i, i]
-        wv = omega[:i, i]
-        omega[i, i] = sigma[i, i] - lamv @ gtpg @ lamv - 2 * (wv @ ginv @ lamv)
+        lam[p, i] = x[: len(p)]
+        omega[s, i] = x[len(p) :]
+        omega[i, s] = x[len(p) :]
+        omega[i, i] = _omega_remainder(sigma, inv, lam[:i, i], omega[:i, i], i)
+        _grow_inverse(inv, lam, i, p)
     if not linalg.is_pd(omega):
         raise NotPositiveDefiniteError("recovered omega is not positive definite")
     return lam, omega
@@ -209,17 +231,17 @@ def fiber_trace(
     t = sp.Symbol("t")
     lam_s = sp.zeros(m, m)
     omg_s = sp.zeros(m, m)
+    inv_s = sp.eye(m)
     omg_s[0, 0] = sig[0, 0]
     deficient_step = None
     direction: dict | None = None
     constraints: list = []
 
     for i in range(1, m):
-        p = sorted(v - 1 for v in g.parents(i + 1))
-        s = sorted(v - 1 for v in siblings_below(g, i))
-        gamma = sp.eye(i) - lam_s[:i, :i]
-        ginv = gamma.inv()
-        ginv = ginv.applyfunc(sp.cancel)
+        p, s = _step_indices(g, i)
+        ginv = inv_s[:i, :i]
+        # not Sigma's block: past a deficient step Omega(t) matches Sigma
+        # only at the roots of the constraints
         gtpg = (ginv.T * omg_s[:i, :i] * ginv).applyfunc(sp.cancel)
         cols = [gtpg[:, c] for c in p] + [ginv[r, :].T for r in s]
         a = sp.Matrix.hstack(*cols) if cols else sp.zeros(i, 0)
@@ -257,6 +279,8 @@ def fiber_trace(
         omg_s[i, i] = sp.cancel(
             sig[i, i] - (lamv.T * gtpg * lamv)[0, 0] - 2 * (wv.T * ginv * lamv)[0, 0]
         )
+        _grow_inverse(inv_s, lam_s, i, p)
+        inv_s[:i, i] = inv_s[:i, i].applyfunc(sp.cancel)
         if deficient_step is not None:
             degs = [
                 _expr_degree(sp, e, t)

@@ -25,8 +25,9 @@ from .errors import (
     SemidentError,
     ZeroCoordinateError,
 )
-from .graphs import MixedGraph, induced_subgraph, relabel_topologically, siblings_below
-from .params import phi
+from .graphs import MixedGraph, induced_subgraph, relabel_topologically
+from .inversion import _omega_remainder, _step_indices
+from .params import path_inverse, phi
 
 
 @dataclass
@@ -217,16 +218,12 @@ def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
     sigma_sub = phi(skeleton, lam, omega)
 
     # kernel direction of the final step system
-    p = sorted(v - 1 for v in skeleton.parents(mm))
-    s = sorted(v - 1 for v in siblings_below(skeleton, n))
-    gamma = linalg.identity(n, backend) - lam[:n, :n]
-    ginv = linalg.mat_inv(gamma)
+    p, s = _step_indices(skeleton, n)
+    inv = path_inverse(skeleton, lam)
     alpha = linalg.to_array([1] * len(p), backend)
-    beta = ginv[:, p] @ alpha
+    beta = inv[:n, p] @ alpha
     d_omega = -(omega[:n, :n] @ beta)[s]
 
-    lam_b = lam.copy()
-    omega_b = omega.copy()
     t = one
     while True:
         lam_b = lam.copy()
@@ -236,10 +233,7 @@ def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
         for k, col in enumerate(s):
             omega_b[col, n] = omega[col, n] + t * d_omega[k]
             omega_b[n, col] = omega_b[col, n]
-        lamv = lam_b[:n, n]
-        wv = omega_b[:n, n]
-        gtpg = ginv.T @ omega[:n, :n] @ ginv
-        omega_b[n, n] = sigma_sub[n, n] - lamv @ gtpg @ lamv - 2 * (wv @ ginv @ lamv)
+        omega_b[n, n] = _omega_remainder(sigma_sub, inv, lam_b[:n, n], omega_b[:n, n], n)
         if linalg.is_pd(omega_b):
             break
         t = t / 2

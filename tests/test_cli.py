@@ -171,9 +171,10 @@ def test_unreadable_graph_exit_1(capsys, tmp_path):
 
 
 def test_usage_error_exit_1():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 1
+    for argv in (["no-such-command"], ["census", "--n", "2", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_cycle_fiber_output(capsys):

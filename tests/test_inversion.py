@@ -15,20 +15,31 @@ from semident.errors import (
 )
 from semident.graphs import MixedGraph
 from semident.inversion import fiber_trace, invert, rank_condition
-from semident.params import phi, sample_parameters
+from semident.params import i_minus_lambda_inv, phi, sample_parameters
 
 
-def _random_identifiable(rng, max_m=6):
+def _random_graph(rng, m, p_dir=0.4, p_bi=0.3):
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return MixedGraph(
+        m=m,
+        directed=frozenset(p for p in pairs if rng.random() < p_dir),
+        bidirected=frozenset(p for p in pairs if rng.random() < p_bi),
+    )
+
+
+def _random_identifiable(rng, max_m=6, min_m=2, p_dir=0.4, p_bi=0.3):
     while True:
-        m = rng.randint(2, max_m)
-        pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-        g = MixedGraph(
-            m=m,
-            directed=frozenset(p for p in pairs if rng.random() < 0.4),
-            bidirected=frozenset(p for p in pairs if rng.random() < 0.3),
-        )
+        g = _random_graph(rng, rng.randint(min_m, max_m), p_dir, p_bi)
         if check_global_identifiability(g).identifiable:
             return g
+
+
+def _reference_rank_matrix(g, lam, omega, i):
+    """Omega_{[i] minus S(i), [i]} (I - Lambda)^{-1}_{[i], P(i)} from a full inverse."""
+    p = sorted(v - 1 for v in g.parents(i + 1))
+    rows = [r for r in range(i) if not g.has_bidirected(r + 1, i + 1)]
+    inv = i_minus_lambda_inv(g, lam)
+    return omega[np.ix_(rows, range(i))] @ inv[np.ix_(range(i), p)]
 
 
 def test_roundtrip_rational_exact():
@@ -39,6 +50,49 @@ def test_roundtrip_rational_exact():
         lam2, omega2 = invert(g, phi(g, lam, omega))
         assert linalg.max_abs_diff(lam, lam2) == 0
         assert linalg.max_abs_diff(omega, omega2) == 0
+
+
+def test_roundtrip_rational_exact_m40():
+    rng = random.Random(40)
+    g = _random_identifiable(rng, max_m=40, min_m=40, p_dir=0.1, p_bi=0.03)
+    lam, omega = sample_parameters(g, 40, backend="rational")
+    lam2, omega2 = invert(g, phi(g, lam, omega))
+    assert linalg.max_abs_diff(lam, lam2) == 0
+    assert linalg.max_abs_diff(omega, omega2) == 0
+
+
+def test_step_gram_block_equals_sigma_block():
+    # the identity the step system rests on: Gamma^{-T} Omega Gamma^{-1} = Sigma
+    # on every leading block, Gamma = I - Lambda restricted to that block
+    rng = random.Random(11)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(2, 7))
+        lam, omega = sample_parameters(g, rng.randint(0, 10**6), backend="rational")
+        sigma = phi(g, lam, omega)
+        for i in range(1, g.m + 1):
+            ginv = linalg.mat_inv(linalg.identity(i, "rational") - lam[:i, :i])
+            gram = ginv.T @ omega[:i, :i] @ ginv
+            assert (gram == sigma[:i, :i]).all()
+
+
+def test_rank_condition_matches_full_inverse_formula(
+    spiked_chain_graph, spiked_chain_point, chain_bow_graph, chain_bow_point
+):
+    rng = random.Random(5)
+    cases = [(spiked_chain_graph, *spiked_chain_point), (chain_bow_graph, *chain_bow_point)]
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(2, 7))
+        cases.append((g, *sample_parameters(g, rng.randint(0, 10**6), backend="rational")))
+    for g, lam, omega in cases:
+        for i in range(1, g.m):
+            rec = rank_condition(g, lam, omega, i)
+            ref = _reference_rank_matrix(g, lam, omega, i)
+            assert rec.matrix.shape == ref.shape
+            assert (rec.matrix == ref).all()
+            assert rec.rank == linalg.matrix_rank(ref)
+    # the failing steps of both reference points are reproduced
+    assert not rank_condition(spiked_chain_graph, *spiked_chain_point, 3).passed
+    assert not rank_condition(chain_bow_graph, *chain_bow_point, 4).passed
 
 
 def test_roundtrip_float_tolerance():
