@@ -12,7 +12,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, permutations
 from multiprocessing import Pool
 
@@ -242,10 +245,6 @@ def _classify(g: MixedGraph, trials: int) -> tuple:
     return key, g.directed, g.bidirected, is_simple(g), verdict.identifiable, disagreement
 
 
-def _classify_star(args):
-    return _classify(*args)
-
-
 def census_report(
     n: int,
     simple_only: bool = False,
@@ -257,36 +256,37 @@ def census_report(
     Unlabeled classes are deduplicated by canonical key; the labeled count
     of a class is n! times its number of upper-triangular representatives.
     The criterion verdict and the oracle verdict are compared per graph and
-    any conflict lands in ``disagreements``.
+    any conflict lands in ``disagreements``. Graphs are streamed, in order,
+    to at most ``min(jobs, os.cpu_count())`` worker processes.
     """
     if not 1 <= n <= 5:
         raise SemidentError(f"census_report supports 1 <= n <= 5, got {n}")
-    work = [(g, trials) for g in enumerate_graphs(n, simple_only=simple_only)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_classify_star, work, chunksize=64)
-    else:
-        results = [_classify_star(w) for w in work]
-
+    if jobs < 1:
+        raise SemidentError(f"census_report needs jobs >= 1, got {jobs}")
+    classify = partial(_classify, trials=trials)
+    graphs = enumerate_graphs(n, simple_only=simple_only)
+    workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
     classes: dict[tuple, CensusRow] = {}
     factorial = math.factorial(n)
-    for key, directed, bidirected, simple, identifiable, disagreement in results:
-        if disagreement is not None:
-            report.disagreements.append(disagreement)
-        row = classes.get(key)
-        if row is None:
-            classes[key] = CensusRow(
-                key=key,
-                directed=tuple(sorted(directed)),
-                bidirected=tuple(sorted(bidirected)),
-                simple=simple,
-                identifiable=identifiable,
-                labeled_count=factorial,
-            )
-        else:
-            if row.identifiable != identifiable:
-                report.disagreements.append((directed, bidirected))
-            row.labeled_count += factorial
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        results = pool.imap(classify, graphs, chunksize=64) if pool else map(classify, graphs)
+        for key, directed, bidirected, simple, identifiable, disagreement in results:
+            if disagreement is not None:
+                report.disagreements.append(disagreement)
+            row = classes.get(key)
+            if row is None:
+                classes[key] = CensusRow(
+                    key=key,
+                    directed=tuple(sorted(directed)),
+                    bidirected=tuple(sorted(bidirected)),
+                    simple=simple,
+                    identifiable=identifiable,
+                    labeled_count=factorial,
+                )
+            else:
+                if row.identifiable != identifiable:
+                    report.disagreements.append((directed, bidirected))
+                row.labeled_count += factorial
     report.rows = list(classes.values())
     return report

@@ -36,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 class UsageError(SemidentError):
     """Invalid input that is the caller's fault (bad file, wrong shape)."""
 
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("census", _cmd_census, help="enumerate and classify small graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--simple-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

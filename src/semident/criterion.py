@@ -11,21 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from . import linalg
 from .errors import CyclicDirectedPartError
 from .graphs import (
     MixedGraph,
+    _bfs,
     bidirected_connected,
     find_directed_cycle,
     has_converging_arborescence,
-    induced_subgraph,
     is_acyclic,
     is_ancestral,
     is_simple,
     relabel_topologically,
-    _reachable_to,
 )
 
 
@@ -79,28 +75,14 @@ def find_violating_set(g: MixedGraph) -> tuple[tuple, int] | None:
     for y in range(g.m, 0, -1):
         a = frozenset(g.nodes)
         while True:
-            reach = frozenset(_reachable_to(g, y, a))
-            comp = _bidirected_component(g, y, reach)
+            reach = _bfs(g.parents, y, a)
+            comp = frozenset(_bfs(g.siblings, y, reach))
             if comp == a:
                 break
             a = comp
         if len(a) >= 2:
             return tuple(sorted(a)), y
     return None
-
-
-def _bidirected_component(g: MixedGraph, y: int, within: frozenset) -> frozenset:
-    from collections import deque
-
-    seen = {y}
-    queue = deque([y])
-    while queue:
-        v = queue.popleft()
-        for s in g.siblings(v):
-            if s in within and s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return frozenset(seen)
 
 
 def find_violating_set_exhaustive(g: MixedGraph) -> tuple[tuple, int] | None:
@@ -154,35 +136,3 @@ def check_global_identifiability(g: MixedGraph) -> IdentVerdict:
         ancestral=ancestral,
         acyclic=True,
     )
-
-
-def is_generically_identifiable_simple(g: MixedGraph) -> bool:
-    """Sufficient condition for generic identifiability: simple and acyclic.
-
-    Additionally confirms, at Lambda = 0 and Omega = I, that every stepwise
-    rank condition holds (the identity covariance always has a singleton
-    fiber for simple acyclic graphs).
-    """
-    if not is_acyclic(g) or not is_simple(g):
-        return False
-    from .inversion import rank_condition  # local import to avoid a cycle
-
-    topo, _ = relabel_topologically(g)
-    lam = linalg.zeros(topo.m, topo.m, "float")
-    omega = np.eye(topo.m)
-    for i in range(1, topo.m):
-        rec = rank_condition(topo, lam, omega, i)
-        if not rec.passed:
-            return False
-    return True
-
-
-def all_subgraphs(g: MixedGraph):
-    """Yield every (not necessarily induced) subgraph on the same node set."""
-    directed = sorted(g.directed)
-    bidirected = sorted(g.bidirected)
-    for dmask in range(1 << len(directed)):
-        dsub = frozenset(e for k, e in enumerate(directed) if dmask >> k & 1)
-        for bmask in range(1 << len(bidirected)):
-            bsub = frozenset(e for k, e in enumerate(bidirected) if bmask >> k & 1)
-            yield MixedGraph(m=g.m, directed=dsub, bidirected=bsub, names=g.names)

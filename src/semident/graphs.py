@@ -3,6 +3,11 @@
 Nodes are internally labeled 1..m. External node names from parsed files are
 kept in a symbol table on the graph. All values are immutable; every operation
 is a pure function.
+
+Each graph indexes its parent, child and sibling adjacency once, on
+construction; this module alone decides how adjacency is stored. Every walk
+goes through ``_bfs``, which visits neighbours in ascending order: witness
+construction reads its BFS trees, so its output depends on that order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_]+$")
+_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -38,19 +44,35 @@ class MixedGraph:
     directed: frozenset = frozenset()
     bidirected: frozenset = frozenset()
     names: tuple = field(default=None, compare=False)
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
+    _siblings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         directed = frozenset((int(i), int(j)) for i, j in self.directed)
         bidirected = frozenset(
             (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.bidirected
         )
-        for i, j in directed | bidirected:
-            if i == j:
-                raise SelfLoopError(f"self-loop at node {i}")
-            if not (1 <= i <= self.m and 1 <= j <= self.m):
-                raise GraphParseError(f"edge ({i},{j}) outside node range 1..{self.m}")
+        parents, children, siblings = {}, {}, {}  # isolated nodes stay out
+        for edges, forward, backward in (
+            (directed, children, parents),
+            (bidirected, siblings, siblings),
+        ):
+            for i, j in edges:
+                if i == j:
+                    raise SelfLoopError(f"self-loop at node {i}")
+                if not (1 <= i <= self.m and 1 <= j <= self.m):
+                    raise GraphParseError(f"edge ({i},{j}) outside node range 1..{self.m}")
+                forward.setdefault(i, set()).add(j)
+                backward.setdefault(j, set()).add(i)
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "bidirected", bidirected)
+        for attr, index in (
+            ("_parents", parents),
+            ("_children", children),
+            ("_siblings", siblings),
+        ):
+            object.__setattr__(self, attr, {v: frozenset(a) for v, a in index.items()})
         if self.names is not None:
             names = tuple(str(n) for n in self.names)
             if len(names) != self.m:
@@ -70,22 +92,16 @@ class MixedGraph:
         return (min(i, j), max(i, j)) in self.bidirected
 
     def parents(self, i: int) -> frozenset:
-        return frozenset(j for j, k in self.directed if k == i)
+        return self._parents.get(i, _EMPTY)
 
     def children(self, i: int) -> frozenset:
-        return frozenset(k for j, k in self.directed if j == i)
+        return self._children.get(i, _EMPTY)
 
     def siblings(self, i: int) -> frozenset:
-        return frozenset(
-            (a if b == i else b) for a, b in self.bidirected if i in (a, b)
-        )
+        return self._siblings.get(i, _EMPTY)
 
     def name_of(self, i: int) -> str:
         return self.names[i - 1] if self.names is not None else str(i)
-
-
-def parents(g: MixedGraph, i: int) -> frozenset:
-    return g.parents(i)
 
 
 def siblings_below(g: MixedGraph, i: int) -> frozenset:
@@ -93,7 +109,7 @@ def siblings_below(g: MixedGraph, i: int) -> frozenset:
 
     Assumes topologically relabeled nodes (as all stepwise formulas do).
     """
-    return frozenset(j for j in range(1, i + 1) if g.has_bidirected(j, i + 1))
+    return frozenset(j for j in g.siblings(i + 1) if j <= i)
 
 
 def is_simple(g: MixedGraph) -> bool:
@@ -147,9 +163,7 @@ def topological_order(g: MixedGraph) -> tuple:
     Kahn's algorithm with ties broken by smallest original label. Raises
     CyclicDirectedPartError (carrying one cycle) when no order exists.
     """
-    indeg = {v: 0 for v in g.nodes}
-    for _, j in g.directed:
-        indeg[j] += 1
+    indeg = {v: len(g.parents(v)) for v in g.nodes}
     heap = [v for v in g.nodes if indeg[v] == 0]
     heapify(heap)
     order = []
@@ -223,35 +237,27 @@ def induced_subgraph(g: MixedGraph, nodes: Iterable[int]) -> tuple[MixedGraph, d
     return sub, back
 
 
-def _reachable_to(g: MixedGraph, target: int, within: frozenset) -> set:
-    """Nodes of ``within`` with a directed path to ``target`` inside ``within``."""
-    rev: dict[int, list[int]] = {v: [] for v in within}
-    for i, j in g.directed:
-        if i in within and j in within:
-            rev[j].append(i)
-    seen = {target}
-    queue = deque([target])
+def _bfs(step, start: int, within=None) -> dict:
+    """Breadth-first walk from ``start`` along ``step(node)``.
+
+    Only nodes in ``within`` (when given) are entered. Neighbours are visited
+    in ascending order. Returns {visited node: predecessor}, with the start
+    mapped to None, so the items are the edges of a BFS tree.
+    """
+    pred = {start: None}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
-        for p in rev[v]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+        for w in sorted(step(v)):
+            if w not in pred and (within is None or w in within):
+                pred[w] = v
+                queue.append(w)
+    return pred
 
 
 def descendants(g: MixedGraph, i: int) -> set:
     """Nodes reachable from i by directed paths (excluding i itself)."""
-    seen = set()
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        for c in g.children(v):
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    seen.discard(i)
-    return seen
+    return set(_bfs(g.children, i)) - {i}
 
 
 def is_ancestral(g: MixedGraph) -> bool:
@@ -269,16 +275,7 @@ def bidirected_connected(g: MixedGraph, nodes: Iterable[int]) -> bool:
     subset = frozenset(nodes)
     if not subset:
         raise EmptySubsetError("connectivity of the empty set")
-    start = next(iter(subset))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for s in g.siblings(v):
-            if s in subset and s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen == subset
+    return _bfs(g.siblings, next(iter(subset)), subset).keys() == subset
 
 
 def has_converging_arborescence(g: MixedGraph, nodes: Iterable[int], sink: int) -> bool:
@@ -288,7 +285,7 @@ def has_converging_arborescence(g: MixedGraph, nodes: Iterable[int], sink: int) 
     subset = frozenset(nodes)
     if sink not in subset or len(subset) < 2:
         raise EmptySubsetError("need sink in subset and at least two nodes")
-    return _reachable_to(g, sink, subset) == subset
+    return _bfs(g.parents, sink, subset).keys() == subset
 
 
 # -- parsing and serialization ----------------------------------------

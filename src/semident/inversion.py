@@ -47,10 +47,11 @@ CONSISTENCY_REL_TOL = 1e-8
 
 
 def _require_topological(g: MixedGraph) -> None:
-    cycle = find_directed_cycle(g)
-    if cycle is not None:
-        raise CyclicDirectedPartError(cycle)
+    # every directed cycle has an edge i -> j with i >= j, so only then look for one
     if any(i >= j for i, j in g.directed):
+        cycle = find_directed_cycle(g)
+        if cycle is not None:
+            raise CyclicDirectedPartError(cycle)
         raise SemidentError("graph must carry topological labels (i -> j only for i < j)")
 
 

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CyclicDirectedPartError,
     NotPositiveDefiniteError,
     SingularIminusLambdaError,
     SupportViolationError,
 )
-from .graphs import MixedGraph, find_directed_cycle, is_acyclic, topological_order
+from .graphs import MixedGraph, topological_order
 
 
 def check_lambda_support(g: MixedGraph, lam: np.ndarray) -> None:
@@ -109,12 +108,11 @@ def path_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
     topological order (no explicit path enumeration). Must agree with the
     numerically inverted I - Lambda; used as a cross-check oracle.
     """
-    if not is_acyclic(g):
-        raise CyclicDirectedPartError(find_directed_cycle(g))
+    order = topological_order(g)
     check_lambda_support(g, lam)
     backend = linalg.backend_of(lam)
     inv = linalg.identity(g.m, backend)
-    for j in topological_order(g):
+    for j in order:
         for k in g.parents(j):
             # every path into j ends with an edge k -> j
             inv[:, j - 1] = inv[:, j - 1] + inv[:, k - 1] * lam[k - 1, j - 1]

@@ -10,7 +10,6 @@ image untouched.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .errors import (
     SemidentError,
     ZeroCoordinateError,
 )
-from .graphs import MixedGraph, induced_subgraph, relabel_topologically
+from .graphs import MixedGraph, _bfs, induced_subgraph, relabel_topologically
 from .inversion import _omega_remainder, _step_indices
 from .params import path_inverse, phi
 
@@ -63,25 +62,12 @@ def build_arborescence_lambda(arb: MixedGraph, x) -> np.ndarray:
     for v in x:
         if v == 0:
             raise ZeroCoordinateError("x must have all-nonzero coordinates")
-    out_edges: dict[int, int] = {}
-    for i, j in arb.directed:
-        if i in out_edges:
-            raise NotArborescenceError(f"node {i} has two outgoing edges")
-        out_edges[i] = j
-    if set(out_edges) != set(range(1, mm)) or mm in out_edges:
+    if arb.children(mm) or any(len(arb.children(i)) != 1 for i in range(1, mm)):
         raise NotArborescenceError("every non-sink node needs exactly one outgoing edge")
-    # every node must reach the sink through the unique-edge chain
-    for i in range(1, mm):
-        seen = set()
-        cur = i
-        while cur != mm:
-            if cur in seen:
-                raise NotArborescenceError("outgoing edges do not converge to the sink")
-            seen.add(cur)
-            cur = out_edges[cur]
+    if len(_bfs(arb.parents, mm)) != mm:
+        raise NotArborescenceError("outgoing edges do not converge to the sink")
     lam = linalg.zeros(mm, mm, backend)
-    for i in range(1, mm):
-        j = out_edges[i]
+    for i, j in arb.directed:
         if j != mm:
             lam[i - 1, j - 1] = x[i - 1] / x[j - 1]
     return lam
@@ -101,9 +87,9 @@ def build_laplacian_omega(gp: MixedGraph) -> np.ndarray:
     mm = gp.m
     n = mm - 1
     tree = gp.bidirected
-    if len(tree) != mm - 1 or not _is_connected_tree(gp):
+    if len(tree) != mm - 1 or len(_bfs(gp.siblings, 1)) != mm:
         raise NotSpanningTreeError("bidirected part must be a spanning tree")
-    s = sorted(v for v in range(1, mm) if gp.has_bidirected(v, mm))
+    s = sorted(gp.siblings(mm))
     r = [v for v in range(1, mm + 1 - 1) if v not in s]
     omega = linalg.zeros(mm, mm, "rational")
     # Laplacian of the induced bidirected graph on R
@@ -135,50 +121,6 @@ def build_laplacian_omega(gp: MixedGraph) -> np.ndarray:
     return omega
 
 
-def _is_connected_tree(gp: MixedGraph) -> bool:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in gp.siblings(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == gp.m
-
-
-def _shortest_path_arborescence(g: MixedGraph, sink: int) -> frozenset:
-    """One outgoing edge per node along a shortest directed path to the sink."""
-    rev: dict[int, list[int]] = {v: [] for v in g.nodes}
-    for i, j in sorted(g.directed):
-        rev[j].append(i)
-    next_hop: dict[int, int] = {}
-    queue = deque([sink])
-    seen = {sink}
-    while queue:
-        v = queue.popleft()
-        for p in rev[v]:
-            if p not in seen:
-                seen.add(p)
-                next_hop[p] = v
-                queue.append(p)
-    return frozenset((i, j) for i, j in next_hop.items())
-
-
-def _bfs_spanning_tree(g: MixedGraph, root: int) -> frozenset:
-    tree = set()
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(g.siblings(v)):
-            if w not in seen:
-                seen.add(w)
-                tree.add((min(v, w), max(v, w)))
-                queue.append(w)
-    return frozenset(tree)
-
-
 def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
     """Build a verified pair of distinct points with equal covariance.
 
@@ -195,16 +137,17 @@ def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
         raise SemidentError("cyclic graph: use the cycle-fiber machinery instead")
 
     gt, to_topo = relabel_topologically(g)
-    from .criterion import find_violating_set
-
-    a_set, y = find_violating_set(gt)
-    sub, back_to_topo = induced_subgraph(gt, a_set)  # y becomes the last label
-    mm = sub.m
+    sub, back_to_topo = induced_subgraph(gt, (to_topo[v] for v in verdict.violating_set))
+    mm = sub.m  # every node of the set is an ancestor of the sink, so the sink is last
     n = mm - 1
 
-    arb_edges = _shortest_path_arborescence(sub, mm)
-    tree_edges = _bfs_spanning_tree(sub, mm)
-    skeleton = MixedGraph(m=mm, directed=arb_edges, bidirected=tree_edges)
+    # BFS trees toward the sink: a shortest-path arborescence and a spanning tree
+    arb, tree = (_bfs(step, mm) for step in (sub.parents, sub.siblings))
+    skeleton = MixedGraph(
+        m=mm,
+        directed={(v, w) for v, w in arb.items() if w is not None},
+        bidirected={(v, w) for v, w in tree.items() if w is not None},
+    )
 
     one = Fraction(1) if backend == "rational" else 1.0
     x = [one] * n

@@ -1,9 +1,11 @@
 """Census: enumeration counts, canonical keys, oracle, small reports."""
 
+import os
 import random
 
 import pytest
 
+import semident.census
 from semident.census import (
     canonical_form,
     census_report,
@@ -105,3 +107,34 @@ def test_census_report_parallel_matches_serial():
 def test_census_report_cap():
     with pytest.raises(SemidentError):
         census_report(6)
+
+
+def test_census_report_jobs_validated_and_capped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool; runs the work in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(semident.census, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in (0, -3):
+        with pytest.raises(SemidentError):
+            census_report(2, jobs=jobs)
+    serial = census_report(3, trials=3)
+    assert sizes == []
+    capped = census_report(3, trials=3, jobs=100000)
+    assert sizes == [2]
+    assert capped.to_json() == serial.to_json()
+    assert capped.to_csv() == serial.to_csv()

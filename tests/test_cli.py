@@ -171,7 +171,11 @@ def test_unreadable_graph_exit_1(capsys, tmp_path):
 
 
 def test_usage_error_exit_1():
-    for argv in (["no-such-command"], ["census", "--n", "2", "--seed", "1"]):
+    for argv in (
+        ["no-such-command"],
+        ["census", "--n", "2", "--seed", "1"],
+        ["census", "--n", "3", "--jobs", "0"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1

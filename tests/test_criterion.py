@@ -2,18 +2,55 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from semident import linalg
 from semident.census import enumerate_graphs
 from semident.criterion import (
-    all_subgraphs,
     check_global_identifiability,
     find_violating_set,
     find_violating_set_exhaustive,
-    is_generically_identifiable_simple,
 )
 from semident.errors import CyclicDirectedPartError
-from semident.graphs import MixedGraph, relabel, relabel_topologically
+from semident.graphs import (
+    MixedGraph,
+    is_acyclic,
+    is_simple,
+    relabel,
+    relabel_topologically,
+)
+from semident.inversion import rank_condition
+
+
+def all_subgraphs(g: MixedGraph):
+    """Yield every (not necessarily induced) subgraph on the same node set."""
+    directed = sorted(g.directed)
+    bidirected = sorted(g.bidirected)
+    for dmask in range(1 << len(directed)):
+        dsub = frozenset(e for k, e in enumerate(directed) if dmask >> k & 1)
+        for bmask in range(1 << len(bidirected)):
+            bsub = frozenset(e for k, e in enumerate(bidirected) if bmask >> k & 1)
+            yield MixedGraph(m=g.m, directed=dsub, bidirected=bsub, names=g.names)
+
+
+def is_generically_identifiable_simple(g: MixedGraph) -> bool:
+    """Sufficient condition for generic identifiability: simple and acyclic.
+
+    Additionally confirms, at Lambda = 0 and Omega = I, that every stepwise
+    rank condition holds (the identity covariance always has a singleton
+    fiber for simple acyclic graphs).
+    """
+    if not is_acyclic(g) or not is_simple(g):
+        return False
+    topo, _ = relabel_topologically(g)
+    lam = linalg.zeros(topo.m, topo.m, "float")
+    omega = np.eye(topo.m)
+    for i in range(1, topo.m):
+        rec = rank_condition(topo, lam, omega, i)
+        if not rec.passed:
+            return False
+    return True
 
 
 def test_instrumental_variable(iv_graph):

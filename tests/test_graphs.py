@@ -191,3 +191,42 @@ def test_relabel_preserves_structure(g, rnd):
     assert len(h.bidirected) == len(g.bidirected)
     assert is_simple(h) == is_simple(g)
     assert is_ancestral(h) == is_ancestral(g)
+
+
+@st.composite
+def any_mixed_graphs(draw, max_m=6):
+    """Mixed graphs with arbitrary directed edges, directed cycles included."""
+    m = draw(st.integers(1, max_m))
+    nodes = range(1, m + 1)
+    directed = frozenset(
+        (i, j) for i in nodes for j in nodes if i != j and draw(st.booleans())
+    )
+    bidirected = frozenset(
+        (i, j) for i in nodes for j in nodes if i < j and draw(st.booleans())
+    )
+    return MixedGraph(m=m, directed=directed, bidirected=bidirected)
+
+
+def _scan_descendants(g, i):
+    """Directed reachability from i by repeated scans of the edge set."""
+    seen, frontier = set(), {i}
+    while frontier:
+        frontier = {k for j, k in g.directed if j in frontier} - seen
+        seen |= frontier
+    return seen - {i}
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_mixed_graphs())
+def test_adjacency_index_matches_edge_scan(g):
+    for i in g.nodes:
+        assert g.parents(i) == frozenset(j for j, k in g.directed if k == i)
+        assert g.children(i) == frozenset(k for j, k in g.directed if j == i)
+        assert g.siblings(i) == frozenset(
+            (a if b == i else b) for a, b in g.bidirected if i in (a, b)
+        )
+        assert descendants(g, i) == _scan_descendants(g, i)
+        if i < g.m:
+            assert siblings_below(g, i) == frozenset(
+                j for j in range(1, i + 1) if g.has_bidirected(j, i + 1)
+            )

@@ -10,8 +10,10 @@ from semident import linalg
 from semident.census import enumerate_graphs
 from semident.criterion import check_global_identifiability
 from semident.errors import (
+    CyclicDirectedPartError,
     InconsistentSystemError,
     RankDeficientStepError,
+    SemidentError,
 )
 from semident.graphs import MixedGraph
 from semident.inversion import fiber_trace, invert, rank_condition
@@ -194,3 +196,21 @@ def test_noninjective_census_graph_has_failing_point():
         assert any(
             not rank_condition(g, lam, omega, i).passed for i in range(1, g.m)
         )
+
+
+def test_entry_points_reject_cycles_and_unsorted_labels():
+    cyclic = MixedGraph(m=3, directed={(1, 2), (2, 3), (3, 1)})
+    unsorted = MixedGraph(m=3, directed={(2, 1), (2, 3)}, bidirected={(1, 3)})
+    sigma = linalg.identity(3, "rational")
+    calls = (
+        lambda g: invert(g, sigma),
+        lambda g: rank_condition(g, linalg.zeros(3, 3, "float"), np.eye(3), 1),
+        lambda g: fiber_trace(g, sigma),
+    )
+    for call in calls:
+        with pytest.raises(CyclicDirectedPartError) as exc:
+            call(cyclic)
+        assert set(exc.value.cycle) == {1, 2, 3}
+        with pytest.raises(SemidentError) as exc:
+            call(unsorted)
+        assert not isinstance(exc.value, CyclicDirectedPartError)

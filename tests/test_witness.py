@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import semident.criterion
 from semident import linalg
 from semident.census import enumerate_graphs
 from semident.criterion import check_global_identifiability
@@ -48,6 +49,11 @@ def test_arborescence_lambda_rejects_bad_shapes():
         # node 2 has no outgoing edge
         build_arborescence_lambda(
             MixedGraph(m=3, directed={(1, 3)}), [Fraction(1), Fraction(1)]
+        )
+    with pytest.raises(NotArborescenceError):
+        # nodes 1 and 2 point at each other and never reach the sink
+        build_arborescence_lambda(
+            MixedGraph(m=3, directed={(1, 2), (2, 1)}), [Fraction(1), Fraction(1)]
         )
 
 
@@ -117,3 +123,36 @@ def test_witness_on_all_noninjective_three_node_graphs():
         assert pair.separation >= Fraction(1, 1000)
         assert linalg.is_pd(pair.point_a[1])
         assert linalg.is_pd(pair.point_b[1])
+
+
+def test_witness_diamond_tie_break():
+    # node 1 reaches the sink through 2 and through 3; BFS trees take the
+    # lower-labelled neighbour first, which pins lambda_12 = 1 and 1 <-> 2
+    g = MixedGraph(
+        m=4,
+        directed={(1, 2), (1, 3), (2, 4), (3, 4)},
+        bidirected={(1, 2), (1, 3), (2, 4), (3, 4)},
+    )
+    lam, omega = construct_witness(g, backend="rational").point_a
+    expected_lam = linalg.zeros(4, 4, "rational")
+    expected_lam[0, 1] = Fraction(1)
+    expected_omega = linalg.to_array(
+        [[1, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "rational"
+    )
+    assert linalg.max_abs_diff(lam, expected_lam) == 0
+    assert linalg.max_abs_diff(omega, expected_omega) == 0
+
+
+def test_witness_runs_fixpoint_once(monkeypatch, iv_graph, chain_bow_graph):
+    calls = []
+    search = semident.criterion.find_violating_set
+
+    def counting(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(semident.criterion, "find_violating_set", counting)
+    for g in (iv_graph, chain_bow_graph):
+        calls.clear()
+        construct_witness(g, backend="rational")
+        assert len(calls) == 1
