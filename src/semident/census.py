@@ -4,7 +4,8 @@ Enumerates every acyclic mixed graph on up to six nodes (directed parts as
 upper-triangular DAG representatives), classifies identifiability with the
 fixpoint criterion, and double-checks each verdict against an oracle built
 from the exhaustive induced-subgraph scan, random-point rank conditions and
-explicit witness construction. Any disagreement is a build-failing event.
+an explicit witness built on the scan's own violating set. The oracle shares
+nothing with the fixpoint search. Any disagreement is a build-failing event.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import SemidentError
 from .graphs import MixedGraph, is_simple, relabel_topologically
 from .inversion import rank_condition
 from .params import sample_parameters
-from .witness import construct_witness
+from .witness import witness_from_set
 
 #: hard cap on census node counts
 MAX_N = 6
@@ -34,40 +35,23 @@ MAX_N = 6
 DEFAULT_TRIALS = 20
 
 
-def enumerate_graphs(
-    n: int,
-    acyclic_only: bool = True,
-    simple_only: bool = False,
-    labeled: bool = False,
-):
+def enumerate_graphs(n: int, simple_only: bool = False):
     """Yield the acyclic mixed graphs on ``n`` nodes.
 
-    By default one representative per upper-triangular directed part is
-    produced (every DAG is isomorphic to such a representative), crossed
-    with all bidirected parts. With ``labeled=True`` each representative is
-    additionally emitted under every node permutation, so the stream has
-    n! times as many entries (counted with multiplicity).
+    One representative per upper-triangular directed part is produced (every
+    DAG is isomorphic to such a representative), crossed with all
+    bidirected parts.
     """
     if not 1 <= n <= MAX_N:
         raise SemidentError(f"census supports 1 <= n <= {MAX_N}, got {n}")
-    if not acyclic_only:
-        raise SemidentError("only the acyclic census is supported")
     pairs = list(combinations(range(1, n + 1), 2))
-    perms = list(permutations(range(1, n + 1))) if labeled else [tuple(range(1, n + 1))]
     for dmask in range(1 << len(pairs)):
         directed = frozenset(p for k, p in enumerate(pairs) if dmask >> k & 1)
         for bmask in range(1 << len(pairs)):
             bidirected = frozenset(p for k, p in enumerate(pairs) if bmask >> k & 1)
             if simple_only and directed & bidirected:
                 continue
-            for perm in perms:
-                yield MixedGraph(
-                    m=n,
-                    directed=frozenset((perm[i - 1], perm[j - 1]) for i, j in directed),
-                    bidirected=frozenset(
-                        (perm[i - 1], perm[j - 1]) for i, j in bidirected
-                    ),
-                )
+            yield MixedGraph(m=n, directed=directed, bidirected=bidirected)
 
 
 def canonical_form(g: MixedGraph) -> tuple:
@@ -111,12 +95,13 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
 
     Runs the exhaustive induced-subgraph scan; an injective answer is backed
     by rank conditions at random parameter points (and at Lambda = 0,
-    Omega = I), a noninjective answer by an explicit verified witness pair.
+    Omega = I), a noninjective answer by an explicit verified witness pair
+    built inside the set the scan found.
     Internal failures raise rather than silently passing.
     """
     if g.m > 5:
         raise SemidentError("injectivity oracle supports m <= 5")
-    topo, _ = relabel_topologically(g)
+    topo, to_topo = relabel_topologically(g)
     hit = find_violating_set_exhaustive(topo)
     if hit is None:
         key = canonical_form(g)
@@ -133,7 +118,7 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
                         f"subset scan says injective but rank fails at step {i}"
                     )
         return OracleVerdict(True, f"rank conditions at {len(points)} points")
-    pair = construct_witness(g, backend="rational")
+    pair = witness_from_set(g, topo, to_topo, hit[0], "rational")
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
     return OracleVerdict(

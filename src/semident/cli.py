@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import linalg
@@ -55,7 +54,9 @@ def _read_graph(path: str):
         return load_graph(path)
     except OSError as exc:
         raise UsageError(f"cannot read graph file {path}: {exc}") from exc
-    except (GraphParseError, json.JSONDecodeError) as exc:
+    except (GraphParseError, ValueError, TypeError) as exc:
+        # malformed JSON raises a ValueError; JSON edges that are not pairs
+        # raise a ValueError or a TypeError
         raise UsageError(f"cannot parse graph file {path}: {exc}") from exc
 
 
@@ -64,10 +65,13 @@ def _read_matrix(path: str, backend: str, m: int):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
-    mat = matrix_from_json(data, backend)
+    try:
+        mat = matrix_from_json(data, backend)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, SemidentError) as exc:
+        raise UsageError(f"cannot parse matrix file {path}: {exc}") from exc
     if mat.shape != (m, m):
         raise UsageError(
-            f"matrix in {path} has shape {mat.shape[0]}x{mat.shape[1]}, "
+            f"matrix in {path} has shape {'x'.join(map(str, mat.shape))}, "
             f"expected {m}x{m} to match the graph"
         )
     return mat
@@ -141,9 +145,7 @@ def _cmd_trace(args) -> int:
 
 def _parse_scalar_list(text: str, backend: str) -> tuple:
     try:
-        if backend == "rational":
-            return tuple(Fraction(v) for v in text.split(","))
-        return tuple(float(Fraction(v)) for v in text.split(","))
+        return tuple(linalg.parse_entry(v, backend) for v in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse scalar list {text!r}: {exc}") from exc
 

@@ -16,12 +16,11 @@ from .graphs import (
     MixedGraph,
     _bfs,
     bidirected_connected,
-    find_directed_cycle,
     has_converging_arborescence,
-    is_acyclic,
     is_ancestral,
     is_simple,
     relabel_topologically,
+    require_acyclic,
 )
 
 
@@ -70,8 +69,7 @@ def find_violating_set(g: MixedGraph) -> tuple[tuple, int] | None:
     bidirected component, until stable. The first sink whose fixpoint keeps at
     least two nodes yields the (maximal for that sink) violating set.
     """
-    if not is_acyclic(g):
-        raise CyclicDirectedPartError(find_directed_cycle(g))
+    require_acyclic(g)
     for y in range(g.m, 0, -1):
         a = frozenset(g.nodes)
         while True:
@@ -91,8 +89,7 @@ def find_violating_set_exhaustive(g: MixedGraph) -> tuple[tuple, int] | None:
     Exponential in the node count; retained as the independent oracle that
     cross-validates the fixpoint search (census uses it up to five nodes).
     """
-    if not is_acyclic(g):
-        raise CyclicDirectedPartError(find_directed_cycle(g))
+    require_acyclic(g)
     nodes = sorted(g.nodes)
     for size in range(g.m, 1, -1):
         for subset in combinations(nodes, size):
@@ -110,19 +107,19 @@ def check_global_identifiability(g: MixedGraph) -> IdentVerdict:
     Accepts any labeling; the fixpoint search runs on a topologically
     relabeled copy and the violating set is mapped back to the input labels.
     """
-    cycle = find_directed_cycle(g)
-    if cycle is not None:
+    simple = is_simple(g)
+    try:
+        topo, mapping = relabel_topologically(g)
+    except CyclicDirectedPartError as exc:
         return IdentVerdict(
             identifiable=False,
-            violating_set=tuple(sorted(cycle)),
+            violating_set=tuple(sorted(exc.cycle)),
             sink=None,
-            simple=is_simple(g),
+            simple=simple,
             ancestral=False,
             acyclic=False,
         )
-    simple = is_simple(g)
-    ancestral = is_ancestral(g)
-    topo, mapping = relabel_topologically(g)
+    ancestral = is_ancestral(topo)
     back = {new: old for old, new in mapping.items()}
     hit = find_violating_set(topo)
     if hit is None:

@@ -80,22 +80,18 @@ def det_K_minus_i(p: CycleParams, i: int):
     m = p.m
     lam = p.lam
     delta = p.delta
-    total = 1 / _as_entry(delta[i - 1], p.backend)
+    total = 1 / linalg.parse_entry(delta[i - 1], p.backend)
     for j in range(1, i):
-        term = 1 / _as_entry(delta[j - 1], p.backend)
+        term = 1 / linalg.parse_entry(delta[j - 1], p.backend)
         for kk in range(j, i):
             term *= lam[kk - 1] ** 2
         total += term
     for j in range(i + 1, m + 1):
-        term = 1 / _as_entry(delta[j - 1], p.backend)
+        term = 1 / linalg.parse_entry(delta[j - 1], p.backend)
         for kk in range(j, m + i):
             term *= lam[(kk - 1) % m] ** 2
         total += term
     return prod(delta) * total
-
-
-def _as_entry(v, backend):
-    return Fraction(v) if backend == "rational" else float(v)
 
 
 @dataclass
@@ -123,7 +119,6 @@ def cycle_fiber(p0: CycleParams) -> CycleFiber:
     onto the input or falls outside the parameter domain.
     """
     m = p0.m
-    k0 = kappa_of(p0)
     prod_lam = prod(p0.lam)
     degenerate = prod_lam == -1
 
@@ -135,13 +130,7 @@ def cycle_fiber(p0: CycleParams) -> CycleFiber:
     # confirmed by direct elimination on small cycles. Floats convert to
     # Fractions without loss, so the candidate point is always computed in
     # exact arithmetic and only the output is rounded back.
-    pe = (
-        p0
-        if p0.backend == "rational"
-        else CycleParams(
-            m, tuple(Fraction(v) for v in p0.lam), tuple(Fraction(v) for v in p0.delta)
-        )
-    )
+    pe = _params_on(m, p0.lam, p0.delta, "rational")
     ke = kappa_of(pe)
     prod_lam_e = prod(pe.lam)
     prod_delta = prod(pe.delta)
@@ -157,30 +146,24 @@ def cycle_fiber(p0: CycleParams) -> CycleFiber:
         return CycleFiber([p0], degenerate=degenerate)
 
     p1e = CycleParams(m, lam1, delta1)
-    if _same_point(pe, p1e):
+    if p1e == pe:
         return CycleFiber([p0], degenerate=degenerate)
     mismatch = linalg.max_abs_diff(ke, kappa_of(p1e))
     if mismatch != 0:
         raise SemidentError(f"closed-form point left the fiber (mismatch {mismatch})")
     if p0.backend == "rational":
         return CycleFiber([p0, p1e], degenerate=False)
-    p1 = CycleParams(m, tuple(float(v) for v in lam1), tuple(float(v) for v in delta1))
+    p1 = _params_on(m, lam1, delta1, "float")
+    k0 = kappa_of(p0)
     drift = linalg.max_abs_diff(k0, kappa_of(p1))
     if drift > KAPPA_TOL * max(1.0, linalg.max_abs(k0)):
         raise SemidentError(f"rounded point left the fiber (drift {drift})")
     return CycleFiber([p0, p1], degenerate=False)
 
 
-def _same_point(a: CycleParams, b: CycleParams) -> bool:
-    if a.backend == "rational":
-        return a.lam == b.lam and a.delta == b.delta
-    scale = max(
-        1.0, max(abs(float(v)) for v in a.lam + a.delta)
-    )
-    return all(
-        abs(float(x) - float(y)) <= 1e-12 * scale
-        for x, y in zip(a.lam + a.delta, b.lam + b.delta)
-    )
+def _params_on(m: int, lam, delta, backend: str) -> CycleParams:
+    entries = (tuple(linalg.parse_entry(v, backend) for v in w) for w in (lam, delta))
+    return CycleParams(m, *entries)
 
 
 def lift_to_phi_fiber(g: MixedGraph, fiber: CycleFiber) -> list:
@@ -199,6 +182,6 @@ def lift_to_phi_fiber(g: MixedGraph, fiber: CycleFiber) -> list:
             lam[i, (i + 1) % g.m] = p.lam[i]
         omega = linalg.zeros(g.m, g.m, backend)
         for i in range(g.m):
-            omega[i, i] = 1 / _as_entry(p.delta[i], backend)
+            omega[i, i] = 1 / linalg.parse_entry(p.delta[i], backend)
         out.append((lam, omega))
     return out

@@ -5,9 +5,11 @@ kept in a symbol table on the graph. All values are immutable; every operation
 is a pure function.
 
 Each graph indexes its parent, child and sibling adjacency once, on
-construction; this module alone decides how adjacency is stored. Every walk
-goes through ``_bfs``, which visits neighbours in ascending order: witness
-construction reads its BFS trees, so its output depends on that order.
+construction; this module alone decides how adjacency is stored. It alone
+decides acyclicity too (``require_acyclic``, ``topological_order``): no other
+module runs the directed-cycle search. Every walk goes through ``_bfs``, which
+visits neighbours in ascending order: witness construction reads its BFS
+trees, so its output depends on that order.
 """
 
 from __future__ import annotations
@@ -153,8 +155,16 @@ def find_directed_cycle(g: MixedGraph) -> tuple | None:
     return None
 
 
-def is_acyclic(g: MixedGraph) -> bool:
-    return find_directed_cycle(g) is None
+def require_acyclic(g: MixedGraph) -> None:
+    """Raise CyclicDirectedPartError (carrying one cycle) unless g is acyclic.
+
+    Every directed cycle has an edge i -> j with i >= j, so on topologically
+    labeled graphs this is one scan of the edges and no search.
+    """
+    if any(i >= j for i, j in g.directed):
+        cycle = find_directed_cycle(g)
+        if cycle is not None:
+            raise CyclicDirectedPartError(cycle)
 
 
 def topological_order(g: MixedGraph) -> tuple:
@@ -262,8 +272,7 @@ def descendants(g: MixedGraph, i: int) -> set:
 
 def is_ancestral(g: MixedGraph) -> bool:
     """True iff no bidirected edge joins a node to one of its descendants."""
-    if not is_acyclic(g):
-        raise CyclicDirectedPartError(find_directed_cycle(g))
+    require_acyclic(g)
     for i, j in g.bidirected:
         if j in descendants(g, i) or i in descendants(g, j):
             return False

@@ -32,26 +32,25 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CyclicDirectedPartError,
     InconsistentSystemError,
     NotPositiveDefiniteError,
     RankDeficientStepError,
     SemidentError,
     UnresolvedFiberError,
 )
-from .graphs import MixedGraph, find_directed_cycle, siblings_below
+from .graphs import MixedGraph, require_acyclic, siblings_below
 from .params import phi
 
 #: relative residual threshold deciding whether a step system is consistent
 CONSISTENCY_REL_TOL = 1e-8
 
+#: largest degree in t that fiber tracing follows before giving up
+MAX_DEGREE = 32
+
 
 def _require_topological(g: MixedGraph) -> None:
-    # every directed cycle has an edge i -> j with i >= j, so only then look for one
     if any(i >= j for i, j in g.directed):
-        cycle = find_directed_cycle(g)
-        if cycle is not None:
-            raise CyclicDirectedPartError(cycle)
+        require_acyclic(g)
         raise SemidentError("graph must carry topological labels (i -> j only for i < j)")
 
 
@@ -206,12 +205,7 @@ def _to_rational_matrix(sigma: np.ndarray, sp):
     )
 
 
-def fiber_trace(
-    g: MixedGraph,
-    sigma: np.ndarray,
-    base: tuple | None = None,
-    max_degree: int = 32,
-) -> FiberDescription:
+def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
     """Describe the fiber of ``sigma`` under the forward map.
 
     Runs the stepwise inversion symbolically. At the first rank-deficient step
@@ -221,8 +215,6 @@ def fiber_trace(
     of Omega(t), give the fiber points. No surviving constraint means a
     one-parameter family; deficiency two or a second deficient step gives
     'unresolved'.
-
-    ``base``, when given, is only used to seed the reported family base point.
     """
     import sympy as sp
 
@@ -287,7 +279,7 @@ def fiber_trace(
                 _expr_degree(sp, e, t)
                 for e in list(lam_s[:, i]) + list(omg_s[:, i]) + [omg_s[i, i]]
             ]
-            if max(degs, default=0) > max_degree:
+            if max(degs, default=0) > MAX_DEGREE:
                 return FiberDescription(
                     "unresolved", [], deficient_step=deficient_step, note="degree cap hit"
                 )
@@ -298,9 +290,7 @@ def fiber_trace(
 
     constraints = [c for c in constraints if not c.is_zero]
     if not constraints:
-        return _describe_family(
-            sp, g, sigma, lam_s, omg_s, t, m, deficient_step, direction, base
-        )
+        return _describe_family(sp, lam_s, omg_s, t, m, deficient_step, direction)
 
     gcd_poly = constraints[0]
     for c in constraints[1:]:
@@ -413,20 +403,23 @@ def _direction_dict(p, s, kernel, i) -> dict:
 
 
 def _numeric_point(sp, lam_s, omg_s, t, tval, m):
+    """Float (Lambda, Omega) at t = tval; ZeroDivisionError at a pole of an entry."""
     lam = np.zeros((m, m))
     omg = np.zeros((m, m))
     sub = {t: sp.Float(tval, 30)} if isinstance(tval, float) else {t: tval}
-    for i in range(m):
-        for j in range(m):
-            le = lam_s[i, j]
-            oe = omg_s[i, j]
-            lam[i, j] = float(le.subs(sub)) if le != 0 else 0.0
-            omg[i, j] = float(oe.subs(sub)) if oe != 0 else 0.0
+    for num, sym in ((lam, lam_s), (omg, omg_s)):
+        for i in range(m):
+            for j in range(m):
+                if sym[i, j] != 0:
+                    v = sym[i, j].subs(sub)
+                    if not v.is_finite:
+                        raise ZeroDivisionError(f"pole of entry ({i + 1},{j + 1}) at t = {tval}")
+                    num[i, j] = float(v)
     omg = (omg + omg.T) / 2
     return lam, omg
 
 
-def _describe_family(sp, g, sigma, lam_s, omg_s, t, m, deficient_step, direction, base):
+def _describe_family(sp, lam_s, omg_s, t, m, deficient_step, direction):
     """Locate the open PD interval of Omega(t) and package the family."""
     breakpoints: set[float] = set()
     denominators = []

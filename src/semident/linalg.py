@@ -40,12 +40,8 @@ def backend_of(a: np.ndarray) -> str:
 def parse_entry(value, backend: str):
     """Convert a scalar (int, float, Fraction, or 'p/q' string) to the backend type."""
     if backend == "rational":
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+    return float(Fraction(value)) if isinstance(value, str) else float(value)
 
 
 def entry_to_json(value):
@@ -55,40 +51,30 @@ def entry_to_json(value):
     return float(value)
 
 
+#: numpy element type of each backend
+_DTYPE = {"float": float, "rational": object}
+
+
 def to_array(rows, backend: str) -> np.ndarray:
     """Build a backend matrix (or vector) from nested scalars."""
     check_backend(backend)
     rows = list(rows)
-    nested = bool(rows) and isinstance(rows[0], (list, tuple, np.ndarray))
-    if backend == "rational":
-        if nested:
-            arr = np.empty((len(rows), len(rows[0])), dtype=object)
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    arr[i, j] = parse_entry(v, "rational")
-        else:
-            arr = np.empty(len(rows), dtype=object)
-            for i, v in enumerate(rows):
-                arr[i] = parse_entry(v, "rational")
-        return arr
-    if nested:
-        return np.array([[parse_entry(v, "float") for v in row] for row in rows])
-    return np.array([parse_entry(v, "float") for v in rows])
+    if rows and isinstance(rows[0], (list, tuple, np.ndarray)):
+        if len({len(row) for row in rows}) > 1:
+            raise SemidentError("matrix rows have different lengths")
+        entries = [[parse_entry(v, backend) for v in row] for row in rows]
+    else:
+        entries = [parse_entry(v, backend) for v in rows]
+    return np.array(entries, dtype=_DTYPE[backend])
 
 
 def zeros(nrows: int, ncols: int, backend: str) -> np.ndarray:
-    if backend == "rational":
-        a = np.empty((nrows, ncols), dtype=object)
-        a[:] = Fraction(0)
-        return a
-    return np.zeros((nrows, ncols))
+    return np.full((nrows, ncols), parse_entry(0, backend), dtype=_DTYPE[backend])
 
 
 def identity(n: int, backend: str) -> np.ndarray:
     a = zeros(n, n, backend)
-    one = Fraction(1) if backend == "rational" else 1.0
-    for i in range(n):
-        a[i, i] = one
+    np.fill_diagonal(a, parse_entry(1, backend))
     return a
 
 
@@ -109,31 +95,18 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse; exact Gauss-Jordan for the rational backend."""
+    """Matrix inverse: LAPACK (float) or exact reduction of [A | I] (rational)."""
     if backend_of(a) == "float":
         return np.linalg.inv(a)
     n = a.shape[0]
-    work = a.copy()
-    inv = identity(n, "rational")
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r, col] != 0), None)
-        if pivot_row is None:
-            raise SemidentError("matrix is singular")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-            inv[[col, pivot_row]] = inv[[pivot_row, col]]
-        p = work[col, col]
-        work[col] = work[col] / p
-        inv[col] = inv[col] / p
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                f = work[r, col]
-                work[r] = work[r] - f * work[col]
-                inv[r] = inv[r] - f * inv[col]
-    return inv
+    reduced, pivots = _row_echelon(np.concatenate([a, identity(n, "rational")], axis=1))
+    # [A | I] has rank n; A is invertible iff its own columns hold every pivot
+    if pivots != list(range(n)):
+        raise SemidentError("matrix is singular")
+    return reduced[:, n:]
 
 
-def matrix_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def matrix_rank(a: np.ndarray) -> int:
     """Rank of a matrix: SVD threshold (float) or exact elimination (rational)."""
     if a.size == 0:
         return 0
@@ -141,7 +114,7 @@ def matrix_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
         sv = np.linalg.svd(a, compute_uv=False)
         if sv.size == 0 or sv[0] == 0.0:
             return 0
-        return int(np.sum(sv > rel_tol * sv[0]))
+        return int(np.sum(sv > RANK_REL_TOL * sv[0]))
     echelon, pivots = _row_echelon(a.copy())
     return len(pivots)
 
@@ -212,15 +185,13 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> SolveResult:
         rank = len(pivots) - 1
         return SolveResult(None, rank, [], float("inf"))
     rank = len(pivots)
-    x = np.empty(ncols, dtype=object)
-    x[:] = Fraction(0)
+    x = np.full(ncols, Fraction(0), dtype=object)
     for r, col in enumerate(pivots):
         x[col] = ech[r, ncols]
     free_cols = [c for c in range(ncols) if c not in pivots]
     null: list[np.ndarray] = []
     for fc in free_cols:
-        v = np.empty(ncols, dtype=object)
-        v[:] = Fraction(0)
+        v = np.full(ncols, Fraction(0), dtype=object)
         v[fc] = Fraction(1)
         for r, col in enumerate(pivots):
             v[col] = -ech[r, fc]
@@ -251,4 +222,4 @@ def is_pd(a: np.ndarray) -> bool:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2 if backend_of(a) == "float" else (a + a.T) / Fraction(2)
+    return (a + a.T) / parse_entry(2, backend_of(a))

@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     NotPositiveDefiniteError,
+    SemidentError,
     SingularIminusLambdaError,
     SupportViolationError,
 )
@@ -40,8 +41,8 @@ def check_lambda_support(g: MixedGraph, lam: np.ndarray) -> None:
                 )
 
 
-def check_omega_support(g: MixedGraph, omega: np.ndarray, require_pd: bool = True) -> None:
-    """Raise unless omega is symmetric, supported on B, and (optionally) PD."""
+def check_omega_support(g: MixedGraph, omega: np.ndarray) -> None:
+    """Raise unless omega is symmetric, supported on B, and PD."""
     if omega.shape != (g.m, g.m):
         raise SupportViolationError(
             f"omega has shape {omega.shape}, expected {(g.m, g.m)}"
@@ -54,21 +55,25 @@ def check_omega_support(g: MixedGraph, omega: np.ndarray, require_pd: bool = Tru
                 raise SupportViolationError(
                     f"omega[{i + 1},{j + 1}] nonzero but {i + 1}<->{j + 1} not an edge"
                 )
-    if require_pd and not linalg.is_pd(omega):
+    if not linalg.is_pd(omega):
         raise NotPositiveDefiniteError("omega is not positive definite")
+
+
+def _i_minus_lambda(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
+    """I - Lambda; raises SingularIminusLambdaError when a float one is near singular."""
+    backend = linalg.backend_of(lam)
+    a = linalg.identity(g.m, backend) - lam
+    if backend == "float" and abs(np.linalg.det(a)) < 1e-12:
+        raise SingularIminusLambdaError("I - Lambda is singular")
+    return a
 
 
 def i_minus_lambda_inv(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
     """(I - Lambda)^{-1}, raising SingularIminusLambdaError when singular."""
-    backend = linalg.backend_of(lam)
-    a = linalg.identity(g.m, backend) - lam
-    if backend == "float":
-        if abs(np.linalg.det(a)) < 1e-12:
-            raise SingularIminusLambdaError("I - Lambda is singular")
-        return np.linalg.inv(a)
+    a = _i_minus_lambda(g, lam)
     try:
         return linalg.mat_inv(a)
-    except Exception as exc:
+    except SemidentError as exc:
         raise SingularIminusLambdaError("I - Lambda is singular") from exc
 
 
@@ -91,9 +96,7 @@ def kappa(g: MixedGraph, lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
     backend = linalg.backend_of(lam)
     if any(d <= 0 for d in delta):
         raise NotPositiveDefiniteError("delta entries must be positive")
-    a = linalg.identity(g.m, backend) - lam
-    if backend == "float" and abs(np.linalg.det(a)) < 1e-12:
-        raise SingularIminusLambdaError("I - Lambda is singular")
+    a = _i_minus_lambda(g, lam)
     dmat = linalg.zeros(g.m, g.m, backend)
     for i in range(g.m):
         dmat[i, i] = delta[i]
@@ -151,7 +154,7 @@ def sample_parameters(
         v = draw()
         omega[i - 1, j - 1] = v
         omega[j - 1, i - 1] = v
-    one = Fraction(1) if backend == "rational" else 1.0
+    one = linalg.parse_entry(1, backend)
     for i in range(g.m):
         row_sum = sum(abs(omega[i, j]) for j in range(g.m) if j != i)
         omega[i, i] = row_sum + one

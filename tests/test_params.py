@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from semident import linalg
 from semident.errors import (
     NotPositiveDefiniteError,
+    SingularIminusLambdaError,
     SupportViolationError,
 )
 from semident.graphs import MixedGraph
@@ -160,3 +161,16 @@ def test_i_minus_lambda_inv_cyclic_ok():
     lam[0, 1] = lam[1, 2] = lam[2, 0] = 0.5
     inv = i_minus_lambda_inv(g, lam)
     assert np.allclose(inv @ (np.eye(3) - lam), np.eye(3))
+
+
+def test_singular_i_minus_lambda_rejected():
+    # lambda_12 = lambda_21 = 1 makes I - Lambda singular on both backends
+    g = MixedGraph(m=2, directed={(1, 2), (2, 1)})
+    for backend in linalg.BACKENDS:
+        lam = linalg.to_array([[0, 1], [1, 0]], backend)
+        with pytest.raises(SingularIminusLambdaError):
+            i_minus_lambda_inv(g, lam)
+        with pytest.raises(SingularIminusLambdaError):
+            phi(g, lam, linalg.identity(2, backend))
+    with pytest.raises(SingularIminusLambdaError):
+        kappa(g, linalg.to_array([[0, 1], [1, 0]], "float"), [1.0, 1.0])

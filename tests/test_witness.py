@@ -108,9 +108,20 @@ def test_witness_float_backend(iv_graph):
 
 
 def test_witness_refused_for_identifiable_graph():
-    g = MixedGraph(m=2, directed={(1, 2)})
-    with pytest.raises(SemidentError):
-        construct_witness(g)
+    # cyclic graphs are refused too; both refusals keep their exact type and message
+    refusals = (
+        (MixedGraph(m=2, directed={(1, 2)}), "graph is identifiable; no witness exists"),
+        (
+            MixedGraph(m=3, directed={(1, 2), (2, 3), (3, 1)}, bidirected={(1, 2)}),
+            "cyclic graph: use the cycle-fiber machinery instead",
+        ),
+    )
+    for g, message in refusals:
+        for backend in linalg.BACKENDS:
+            with pytest.raises(SemidentError) as exc:
+                construct_witness(g, backend=backend)
+            assert type(exc.value) is SemidentError
+            assert str(exc.value) == message
 
 
 def test_witness_on_all_noninjective_three_node_graphs():
