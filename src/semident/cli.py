@@ -52,11 +52,9 @@ class UsageError(SemidentError):
 def _read_graph(path: str):
     try:
         return load_graph(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read graph file {path}: {exc}") from exc
-    except (GraphParseError, ValueError, TypeError) as exc:
-        # malformed JSON raises a ValueError; JSON edges that are not pairs
-        # raise a ValueError or a TypeError
+    except (GraphParseError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse graph file {path}: {exc}") from exc
 
 

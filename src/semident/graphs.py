@@ -343,6 +343,13 @@ def parse_graph(text: str) -> MixedGraph:
     )
 
 
+def _json_list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise GraphParseError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def parse_graph_json(data) -> MixedGraph:
     """Parse the JSON graph format.
 
@@ -350,7 +357,9 @@ def parse_graph_json(data) -> MixedGraph:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    names = [str(n) for n in data.get("nodes", [])]
+    if not isinstance(data, dict):
+        raise GraphParseError("graph JSON must be an object")
+    names = [str(n) for n in _json_list(data, "nodes")]
     index = {n: k + 1 for k, n in enumerate(names)}
     if len(index) != len(names):
         raise GraphParseError("duplicate node names")
@@ -361,14 +370,20 @@ def parse_graph_json(data) -> MixedGraph:
             raise GraphParseError(f"edge endpoint {tok!r} not in nodes list")
         return index[tok]
 
+    def edges(key: str):
+        for edge in _json_list(data, key):
+            if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+                raise GraphParseError(f"{key} edge {edge!r} is not a pair of nodes")
+            yield edge
+
     directed = set()
     bidirected = set()
-    for a, b in data.get("directed", []):
+    for a, b in edges("directed"):
         i, j = intern(a), intern(b)
         if i == j:
             raise SelfLoopError(f"self-loop at node {a!r}")
         directed.add((i, j))
-    for a, b in data.get("bidirected", []):
+    for a, b in edges("bidirected"):
         i, j = intern(a), intern(b)
         if i == j:
             raise SelfLoopError(f"self-loop at node {a!r}")

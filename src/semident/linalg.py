@@ -3,8 +3,9 @@
 Matrices live in numpy arrays with one of two element types:
 
 * ``float`` backend: ordinary ``float64`` arrays, numpy/LAPACK routines.
-* ``rational`` backend: ``object`` arrays holding ``fractions.Fraction``,
-  with exact Gaussian elimination.
+* ``rational`` backend: ``object`` arrays holding ``fractions.Fraction``.
+  Elimination and products run on Python integers (rows or matrices scaled
+  by a common denominator) and build each ``Fraction`` once, at the end.
 
 The rational backend exists because the inverse of the covariance
 parametrization is a rational map, so exact round-trips are possible on
@@ -13,6 +14,7 @@ rational inputs and serve as ground truth when float tolerances are in doubt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +61,10 @@ def to_array(rows, backend: str) -> np.ndarray:
     """Build a backend matrix (or vector) from nested scalars."""
     check_backend(backend)
     rows = list(rows)
-    if rows and isinstance(rows[0], (list, tuple, np.ndarray)):
+    is_row = [isinstance(row, (list, tuple, np.ndarray)) for row in rows]
+    if any(is_row):
+        if not all(is_row):
+            raise SemidentError("matrix mixes rows and scalars")
         if len({len(row) for row in rows}) > 1:
             raise SemidentError("matrix rows have different lengths")
         entries = [[parse_entry(v, backend) for v in row] for row in rows]
@@ -99,11 +104,12 @@ def mat_inv(a: np.ndarray) -> np.ndarray:
     if backend_of(a) == "float":
         return np.linalg.inv(a)
     n = a.shape[0]
-    reduced, pivots = _row_echelon(np.concatenate([a, identity(n, "rational")], axis=1))
+    rows, den, pivots = _row_echelon(np.concatenate([a, identity(n, "rational")], axis=1))
     # [A | I] has rank n; A is invertible iff its own columns hold every pivot
     if pivots != list(range(n)):
         raise SemidentError("matrix is singular")
-    return reduced[:, n:]
+    inv = [Fraction(v, den) for row in rows for v in row[n:]]
+    return np.array(inv, dtype=object).reshape(n, n)
 
 
 def matrix_rank(a: np.ndarray) -> int:
@@ -115,30 +121,78 @@ def matrix_rank(a: np.ndarray) -> int:
         if sv.size == 0 or sv[0] == 0.0:
             return 0
         return int(np.sum(sv > RANK_REL_TOL * sv[0]))
-    echelon, pivots = _row_echelon(a.copy())
-    return len(pivots)
+    return len(_row_echelon(a)[2])
 
 
-def _row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place fraction row echelon form; returns (matrix, pivot column list)."""
-    nrows, ncols = m.shape
+def _integers(values) -> tuple[list[int], int]:
+    """(ints, d) with values == ints / d, d the lcm of the denominators."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _row_echelon(m: np.ndarray) -> tuple[list[list[int]], int, list[int]]:
+    """Reduced row echelon form of a rational matrix by fraction-free elimination.
+
+    Scaling a row to integers keeps the row space, and so the reduced form.
+    Gauss-Jordan elimination then runs on Python integers (Bareiss 1968): the
+    update ``(p * row - a * pivot_row) // d`` of every other row by the pivot
+    ``p`` divides exactly by the previous pivot ``d``, so entries stay minors
+    of the integer matrix instead of growing geometrically.
+
+    Returns ``(rows, den, pivots)``. The reduced form is ``rows / den``: the
+    first ``len(pivots)`` rows hold ``den`` at their pivot column, the others
+    are zero. ``pivots`` lists the pivot columns in order.
+    """
+    rows = [_integers(row)[0] for row in m]
+    nrows = len(rows)
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if m[r, col] != 0), None)
+    d = 1
+    for col in range(m.shape[1]):
+        top = len(pivots)
+        if top == nrows:
+            break
+        pivot_row = next((r for r in range(top, nrows) if rows[r][col]), None)
         if pivot_row is None:
             continue
-        if pivot_row != row:
-            m[[row, pivot_row]] = m[[pivot_row, row]]
-        m[row] = m[row] / m[row, col]
-        for r in range(nrows):
-            if r != row and m[r, col] != 0:
-                m[r] = m[r] - m[r, col] * m[row]
+        rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+        prow = rows[top]
+        p = prow[col]
+        for r, row in enumerate(rows):
+            if r == top:
+                continue
+            a = row[col]
+            if a:
+                rows[r] = [(p * x - a * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                rows[r] = [p * x // d for x in row]
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
+        d = p
+    return rows, d, pivots
+
+
+def congruence(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The symmetric part of x^T omega x (the congruence of a symmetric omega).
+
+    Float: ``(s + s.T) / 2`` of the matmul product ``s``, which removes the
+    rounding asymmetry. Rational: one common denominator per matrix, an
+    integer matmul, and one ``Fraction`` per upper-triangle entry, mirrored.
+    """
+    if backend_of(x) == "float":
+        s = x.T @ omega @ x
+        return (s + s.T) / 2.0
+    xi, dx = _integers(x.flat)
+    oi, do = _integers(omega.flat)
+    xi = np.array(xi, dtype=object).reshape(x.shape)
+    oi = np.array(oi, dtype=object).reshape(omega.shape)
+    s = xi.T @ oi @ xi
+    den = 2 * dx * dx * do
+    n = s.shape[0]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = Fraction(s[i, j] + s[j, i], den)
+    return out
 
 
 @dataclass
@@ -179,22 +233,22 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> SolveResult:
     aug = zeros(nrows, ncols + 1, "rational")
     aug[:, :ncols] = a
     aug[:, ncols] = b
-    ech, pivots = _row_echelon(aug)
+    rows, den, pivots = _row_echelon(aug)
     if ncols in pivots:
         # a pivot in the b column means 0 = nonzero: inconsistent
         rank = len(pivots) - 1
         return SolveResult(None, rank, [], float("inf"))
     rank = len(pivots)
     x = np.full(ncols, Fraction(0), dtype=object)
-    for r, col in enumerate(pivots):
-        x[col] = ech[r, ncols]
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[ncols], den)
     free_cols = [c for c in range(ncols) if c not in pivots]
     null: list[np.ndarray] = []
     for fc in free_cols:
         v = np.full(ncols, Fraction(0), dtype=object)
         v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -ech[r, fc]
+        for row, col in zip(rows, pivots):
+            v[col] = Fraction(-row[fc], den)
         null.append(v)
     return SolveResult(x, rank, null, 0.0)
 
@@ -219,7 +273,3 @@ def is_pd(a: np.ndarray) -> bool:
                 f = work[r, k] / work[k, k]
                 work[r, k:] = work[r, k:] - f * work[k, k:]
     return True
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / parse_entry(2, backend_of(a))

@@ -81,9 +81,7 @@ def phi(g: MixedGraph, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Forward covariance map (I - Lambda)^{-T} Omega (I - Lambda)^{-1}."""
     check_lambda_support(g, lam)
     check_omega_support(g, omega)
-    inv = i_minus_lambda_inv(g, lam)
-    sigma = inv.T @ omega @ inv
-    return linalg.symmetrize(sigma)
+    return linalg.congruence(i_minus_lambda_inv(g, lam), omega)
 
 
 def kappa(g: MixedGraph, lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -99,8 +97,8 @@ def kappa(g: MixedGraph, lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
     a = _i_minus_lambda(g, lam)
     dmat = linalg.zeros(g.m, g.m, backend)
     for i in range(g.m):
-        dmat[i, i] = delta[i]
-    return linalg.symmetrize(a @ dmat @ a.T)
+        dmat[i, i] = linalg.parse_entry(delta[i], backend)
+    return linalg.congruence(a.T, dmat)
 
 
 def path_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:

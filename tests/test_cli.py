@@ -215,6 +215,12 @@ def test_trace_family_with_pole_at_a_probe(capsys, tmp_path):
 def test_unreadable_graph_exit_1(capsys, tmp_path):
     code = main(["check", str(tmp_path / "missing.graph")])
     assert code == 1
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"\xff\xfe1 -> 2\n")
+    code = main(["check", str(binary)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("semident: error: cannot read graph file")
 
 
 def test_usage_error_exit_1():

@@ -155,6 +155,17 @@ def test_text_roundtrip(chain_bow_graph):
     assert back.bidirected == chain_bow_graph.bidirected
 
 
+def test_parse_graph_json_rejects_malformed_structure():
+    for data in (
+        {"nodes": ["a", "b"], "directed": [["a"]]},
+        {"nodes": ["a", "b"], "bidirected": [["a", "b", "a"]]},
+        {"nodes": 5},
+        {"nodes": ["a"], "directed": 7},
+    ):
+        with pytest.raises(GraphParseError):
+            parse_graph_json(data)
+
+
 def test_json_roundtrip(spiked_chain_graph):
     data = graph_to_json(spiked_chain_graph)
     back = parse_graph_json(data)

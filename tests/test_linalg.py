@@ -90,6 +90,122 @@ def test_mat_inv_matches_gauss_jordan_reference(a):
     assert (inv == expected).all()
 
 
+def _fraction_row_echelon(m):
+    """In-place Fraction reduced row echelon form, as linalg once computed it."""
+    nrows, ncols = m.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(row, nrows) if m[r, col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            m[[row, pivot_row]] = m[[pivot_row, row]]
+        m[row] = m[row] / m[row, col]
+        for r in range(nrows):
+            if r != row and m[r, col] != 0:
+                m[r] = m[r] - m[r, col] * m[row]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
+
+
+def _reference_solve(a, b):
+    """(solution, rank, nullspace) of A x = b from the Fraction reduction."""
+    nrows, ncols = a.shape
+    aug = linalg.zeros(nrows, ncols + 1, "rational")
+    aug[:, :ncols] = a
+    aug[:, ncols] = b
+    ech, pivots = _fraction_row_echelon(aug)
+    if ncols in pivots:
+        return None, len(pivots) - 1, []
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = ech[r, ncols]
+    null = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -ech[r, fc]
+        null.append(v)
+    return x, len(pivots), null
+
+
+@st.composite
+def rational_matrix(draw):
+    """Tall, wide, square or empty; mixed denominators; often rank-deficient."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    rows = [[draw(st.one_of(st.just(0), entry)) for _ in range(ncols)] for _ in range(nrows)]
+    for r in range(1, nrows):
+        kind = draw(st.sampled_from(("free", "zero", "multiple")))
+        if kind == "zero":
+            rows[r] = [0] * ncols
+        elif kind == "multiple":
+            f = draw(entry)
+            rows[r] = [f * v for v in rows[draw(st.integers(0, r - 1))]]
+    a = linalg.to_array(rows, "rational") if nrows else linalg.zeros(0, ncols, "rational")
+    b = linalg.to_array([draw(entry) for _ in range(nrows)], "rational")
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrix())
+def test_exact_kernels_match_fraction_reference(ab):
+    a, b = ab
+    _, pivots = _fraction_row_echelon(a.copy())
+    assert linalg.matrix_rank(a) == len(pivots)
+
+    x, rank, null = _reference_solve(a, b)
+    res = linalg.solve_linear(a, b)
+    assert res.rank == rank
+    assert (None if res.solution is None else list(res.solution)) == x
+    assert [list(v) for v in res.nullspace] == null
+    for v in ([] if res.solution is None else [res.solution, *res.nullspace]):
+        assert all(type(e) is Fraction for e in v)
+
+    square = a[:, : a.shape[0]] if a.shape[1] >= a.shape[0] else a[: a.shape[1]]
+    try:
+        expected = _gauss_jordan_inverse(square)
+    except SemidentError as exc:
+        with pytest.raises(SemidentError) as got:
+            linalg.mat_inv(square)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    inv = linalg.mat_inv(square)
+    assert inv.shape == expected.shape
+    assert all(type(v) is Fraction for v in inv.flat)
+    assert (inv == expected).all()
+
+
+def _symmetrize(a):
+    """(a + a^T) / 2, as linalg once applied it after every forward product."""
+    return (a + a.T) / linalg.parse_entry(2, linalg.backend_of(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_congruence_matches_symmetrized_product(k, n, rng):
+    entries = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 8))) for _ in range(k * n + k * k)]
+    x_rows = [entries[i * n:(i + 1) * n] for i in range(k)]
+    o = [entries[k * n + i * k:k * n + (i + 1) * k] for i in range(k)]
+    o_rows = [[o[i][j] if i <= j else o[j][i] for j in range(k)] for i in range(k)]
+    for backend in linalg.BACKENDS:
+        x = linalg.to_array(x_rows, backend) if k else linalg.zeros(0, n, backend)
+        omega = linalg.to_array(o_rows, backend) if k else linalg.zeros(0, 0, backend)
+        got = linalg.congruence(x, omega)
+        expected = _symmetrize(x.T @ omega @ x)
+        assert got.shape == (n, n)
+        if backend == "float":
+            assert got.dtype == np.float64 and np.array_equal(got, expected)
+        else:
+            assert all(type(v) is Fraction for v in got.flat)
+            assert (got == expected).all()
+
+
 def test_builders_keep_backend_types():
     for backend, kind in (("float", float), ("rational", Fraction)):
         for a in (
@@ -107,8 +223,9 @@ def test_builders_keep_backend_types():
 
 def test_to_array_rejects_ragged_rows():
     for backend in linalg.BACKENDS:
-        with pytest.raises(SemidentError):
-            linalg.to_array([[1, 2], [3]], backend)
+        for rows in ([[1, 2], [3]], [[1, 2], 3], [3, [1, 2]]):
+            with pytest.raises(SemidentError):
+                linalg.to_array(rows, backend)
 
 
 def test_matrix_rank_exact_vs_float():

@@ -163,6 +163,26 @@ def test_i_minus_lambda_inv_cyclic_ok():
     assert np.allclose(inv @ (np.eye(3) - lam), np.eye(3))
 
 
+def _three_cycle(backend, weights):
+    g = MixedGraph(m=3, directed={(1, 2), (2, 3), (3, 1)}, bidirected={(1, 3)})
+    lam = linalg.zeros(3, 3, backend)
+    for (i, j), w in zip(((1, 2), (2, 3), (3, 1)), weights):
+        lam[i - 1, j - 1] = linalg.parse_entry(w, backend)
+    omega = linalg.to_array([[2, 0, "1/3"], [0, 1, 0], ["1/3", 0, "3/2"]], backend)
+    return g, lam, omega
+
+
+def test_phi_on_three_cycle():
+    weights = ("1/2", -3, "2/5")
+    g, lam, omega = _three_cycle("rational", weights)
+    sigma = phi(g, lam, omega)
+    a = linalg.identity(3, "rational") - lam
+    assert all(type(v) is Fraction for v in sigma.flat)
+    assert (a.T @ sigma @ a == omega).all()
+    g, lam, omega = _three_cycle("float", weights)
+    assert np.allclose(phi(g, lam, omega), linalg.as_float(sigma), rtol=1e-12)
+
+
 def test_singular_i_minus_lambda_rejected():
     # lambda_12 = lambda_21 = 1 makes I - Lambda singular on both backends
     g = MixedGraph(m=2, directed={(1, 2), (2, 1)})
@@ -172,5 +192,11 @@ def test_singular_i_minus_lambda_rejected():
             i_minus_lambda_inv(g, lam)
         with pytest.raises(SingularIminusLambdaError):
             phi(g, lam, linalg.identity(2, backend))
+    # a 3-cycle whose weights multiply to 1
+    g3, lam3, omega3 = _three_cycle("rational", (2, "1/2", 1))
+    for call in (lambda: i_minus_lambda_inv(g3, lam3), lambda: phi(g3, lam3, omega3)):
+        with pytest.raises(SingularIminusLambdaError) as exc:
+            call()
+        assert str(exc.value) == "I - Lambda is singular"
     with pytest.raises(SingularIminusLambdaError):
         kappa(g, linalg.to_array([[0, 1], [1, 0]], "float"), [1.0, 1.0])
