@@ -1,11 +1,14 @@
 """Exhaustive small-graph census with independent cross-validation.
 
 Enumerates every acyclic mixed graph on up to six nodes (directed parts as
-upper-triangular DAG representatives), classifies identifiability with the
-fixpoint criterion, and double-checks each verdict against an oracle built
-from the exhaustive induced-subgraph scan, random-point rank conditions and
-an explicit witness built on the scan's own violating set. The oracle shares
-nothing with the fixpoint search. Any disagreement is a build-failing event.
+upper-triangular DAG representatives) and classifies identifiability with
+the fixpoint criterion on every representative. Every representative's
+verdict must agree with the verdict of its isomorphism class. Injectivity is
+invariant under relabelling, so each class is then checked once against an
+oracle built from the exhaustive induced-subgraph scan, random-point rank
+conditions and an explicit witness built on the scan's own violating set.
+The oracle shares nothing with the fixpoint search. Any disagreement is a
+build-failing event.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import linalg
 from .criterion import check_global_identifiability, find_violating_set_exhaustive
 from .errors import SemidentError
 from .graphs import MixedGraph, is_simple, relabel_topologically
-from .inversion import rank_condition
+from .inversion import _step_records
 from .params import sample_parameters
 from .witness import witness_from_set
 
@@ -60,9 +63,18 @@ def canonical_form(g: MixedGraph) -> tuple:
     Two graphs share a key exactly when they are isomorphic as mixed graphs.
     Brute force over n! <= 720 permutations at the census cap.
     """
+    return _canonical(g)[0]
+
+
+def _canonical(g: MixedGraph) -> tuple[tuple, int]:
+    """``canonical_form(g)`` and |Aut(g)|.
+
+    The permutations that reach the minimal key form one coset of the
+    automorphism group, so counting them gives its order.
+    """
     if g.m > MAX_N:
         raise SemidentError(f"canonical_form supports m <= {MAX_N}")
-    best = None
+    best, n_aut = None, 0
     for perm in permutations(range(1, g.m + 1)):
         directed = tuple(sorted((perm[i - 1], perm[j - 1]) for i, j in g.directed))
         bidirected = tuple(
@@ -73,8 +85,10 @@ def canonical_form(g: MixedGraph) -> tuple:
         )
         key = (g.m, directed, bidirected)
         if best is None or key < best:
-            best = key
-    return best
+            best, n_aut = key, 1
+        elif key == best:
+            n_aut += 1
+    return best, n_aut
 
 
 def _seed_from_key(key: tuple, salt: int = 0) -> int:
@@ -111,11 +125,10 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
         for k in range(trials):
             points.append(sample_parameters(topo, _seed_from_key(key, salt=k)))
         for lam, omega in points:
-            for i in range(1, topo.m):
-                rec = rank_condition(topo, lam, omega, i)
+            for rec in _step_records(topo, lam, omega):
                 if not rec.passed:
                     raise SemidentError(
-                        f"subset scan says injective but rank fails at step {i}"
+                        f"subset scan says injective but rank fails at step {rec.step}"
                     )
         return OracleVerdict(True, f"rank conditions at {len(points)} points")
     pair = witness_from_set(g, topo, to_topo, hit[0], "rational")
@@ -216,18 +229,25 @@ class CensusReport:
         return buf.getvalue()
 
 
-def _classify(g: MixedGraph, trials: int) -> tuple:
-    verdict = check_global_identifiability(g)
-    disagreement = None
-    if g.m <= 5:
-        try:
-            oracle = injectivity_oracle(g, trials=trials)
-            if oracle.injective != verdict.identifiable:
-                disagreement = (g.directed, g.bidirected)
-        except SemidentError:
-            disagreement = (g.directed, g.bidirected)
-    key = canonical_form(g)
-    return key, g.directed, g.bidirected, is_simple(g), verdict.identifiable, disagreement
+def _classify(g: MixedGraph) -> tuple:
+    """Pass 1, one representative: canonical key, |Aut|, edges, simplicity, verdict."""
+    key, n_aut = _canonical(g)
+    identifiable = check_global_identifiability(g).identifiable
+    return key, n_aut, g.directed, g.bidirected, is_simple(g), identifiable
+
+
+def _oracle_agrees(cls: tuple, n: int, trials: int) -> bool:
+    """Pass 2, one class: does the oracle confirm the class's verdict?
+
+    Looks ``injectivity_oracle`` up as a module global on every call, so a
+    rebinding of ``census.injectivity_oracle`` is what runs.
+    """
+    directed, bidirected, identifiable = cls
+    g = MixedGraph(m=n, directed=directed, bidirected=bidirected)
+    try:
+        return injectivity_oracle(g, trials=trials).injective == identifiable
+    except SemidentError:
+        return False
 
 
 def census_report(
@@ -238,27 +258,33 @@ def census_report(
 ) -> CensusReport:
     """Classify every acyclic mixed graph on ``n`` nodes (n <= 5).
 
-    Unlabeled classes are deduplicated by canonical key; the labeled count
-    of a class is n! times its number of upper-triangular representatives.
-    The criterion verdict and the oracle verdict are compared per graph and
-    any conflict lands in ``disagreements``. Graphs are streamed, in order,
-    to at most ``min(jobs, os.cpu_count())`` worker processes.
+    Two streamed passes. The first runs the fixpoint criterion on every
+    upper-triangular representative and deduplicates them into unlabeled
+    classes by canonical key; every representative's verdict must agree with
+    its class's verdict. The second runs the oracle once per class, on the
+    class's first representative, and its answer must agree with the class's
+    verdict. Every conflict lands in ``disagreements``. The labeled count of
+    a class is n! / |Aut(G)|, the number of distinct labelings of G. Both
+    passes are streamed, in order, to at most ``min(jobs, os.cpu_count())``
+    worker processes.
     """
     if not 1 <= n <= 5:
         raise SemidentError(f"census_report supports 1 <= n <= 5, got {n}")
     if jobs < 1:
         raise SemidentError(f"census_report needs jobs >= 1, got {jobs}")
-    classify = partial(_classify, trials=trials)
-    graphs = enumerate_graphs(n, simple_only=simple_only)
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
     classes: dict[tuple, CensusRow] = {}
     factorial = math.factorial(n)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        results = pool.imap(classify, graphs, chunksize=64) if pool else map(classify, graphs)
-        for key, directed, bidirected, simple, identifiable, disagreement in results:
-            if disagreement is not None:
-                report.disagreements.append(disagreement)
+
+        def stream(func, items, chunksize):
+            return pool.imap(func, items, chunksize=chunksize) if pool else map(func, items)
+
+        graphs = enumerate_graphs(n, simple_only=simple_only)
+        for key, n_aut, directed, bidirected, simple, identifiable in stream(
+            _classify, graphs, 64
+        ):
             row = classes.get(key)
             if row is None:
                 classes[key] = CensusRow(
@@ -267,11 +293,14 @@ def census_report(
                     bidirected=tuple(sorted(bidirected)),
                     simple=simple,
                     identifiable=identifiable,
-                    labeled_count=factorial,
+                    labeled_count=factorial // n_aut,
                 )
-            else:
-                if row.identifiable != identifiable:
-                    report.disagreements.append((directed, bidirected))
-                row.labeled_count += factorial
-    report.rows = list(classes.values())
+            elif row.identifiable != identifiable:
+                report.disagreements.append((directed, bidirected))
+        report.rows = list(classes.values())
+        check = partial(_oracle_agrees, n=n, trials=trials)
+        verdicts = ((r.directed, r.bidirected, r.identifiable) for r in report.rows)
+        for row, agrees in zip(report.rows, stream(check, verdicts, 8)):
+            if not agrees:
+                report.disagreements.append((row.directed, row.bidirected))
     return report

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -108,6 +109,19 @@ def _omega_remainder(sigma: np.ndarray, inv: np.ndarray, lamv, wv, i: int):
     return sigma[i, i] - lamv @ sigma[:i, :i] @ lamv - 2 * (wv @ inv[:i, :i] @ lamv)
 
 
+def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):
+    """Yield the rank-condition record of every step 1..m-1 in order.
+
+    One pass of the kernel: (I - Lambda)^{-1} grows by one column per step.
+    ``g`` must carry topological labels.
+    """
+    inv = linalg.identity(g.m, linalg.backend_of(lam))
+    for i in range(1, g.m):
+        p, s = _step_indices(g, i)
+        yield _step_record(omega, inv, p, s, i)
+        _grow_inverse(inv, lam, i, p)
+
+
 def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) -> StepRecord:
     """Evaluate the step-i rank condition at a parameter pair.
 
@@ -116,10 +130,7 @@ def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) ->
     _require_topological(g)
     if not 1 <= i <= g.m - 1:
         raise SemidentError(f"step index {i} out of range 1..{g.m - 1}")
-    inv = linalg.identity(i, linalg.backend_of(lam))
-    for j in range(1, i):
-        _grow_inverse(inv, lam, j, _step_indices(g, j)[0])
-    return _step_record(omega, inv, *_step_indices(g, i), i)
+    return next(islice(_step_records(g, lam, omega), i - 1, None))
 
 
 def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

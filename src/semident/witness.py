@@ -117,7 +117,8 @@ def build_laplacian_omega(gp: MixedGraph) -> np.ndarray:
             omega[i - 1, i - 1] *= 2
     # rows over R annihilate the all-ones vector over the non-sink nodes
     for i in r:
-        assert sum(omega[i - 1, j] for j in range(n)) == 0
+        if sum(omega[i - 1, j] for j in range(n)) != 0:
+            raise SemidentError(f"Laplacian row {i} does not sum to zero over the non-sink nodes")
     return omega
 
 

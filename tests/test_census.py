@@ -2,17 +2,21 @@
 
 import os
 import random
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 import semident.census
 import semident.criterion
 from semident.census import (
+    OracleVerdict,
     canonical_form,
     census_report,
     enumerate_graphs,
     injectivity_oracle,
 )
+from semident.cli import main
 from semident.criterion import check_global_identifiability
 from semident.errors import SemidentError
 from semident.graphs import MixedGraph, is_simple, relabel
@@ -86,14 +90,14 @@ def test_census_report_three_nodes():
     # on three nodes injectivity coincides with simplicity
     assert report.unlabeled_count(simple=True, identifiable=False) == 0
     assert report.unlabeled_count(simple=False, identifiable=True) == 0
-    assert report.labeled_total == 6 * 64  # 3! x 2^3 directed x 2^3 bidirected
+    assert report.labeled_total == 200  # 25 labeled DAGs x 2^3 bidirected parts
 
 
 def test_census_report_two_nodes_json():
     data = census_report(2, trials=5).to_json()
     assert data["n"] == 2
     assert data["unlabeled_total"] == 4
-    assert data["labeled_total"] == 8
+    assert data["labeled_total"] == 6
     assert data["counts"]["unlabeled"]["noninjective"] == 1
     assert data["disagreements"] == []
 
@@ -146,3 +150,75 @@ def test_census_report_jobs_validated_and_capped(monkeypatch):
     assert sizes == [2]
     assert capped.to_json() == serial.to_json()
     assert capped.to_csv() == serial.to_csv()
+
+
+def _labelings(directed, bidirected, n):
+    """Every distinct labeled graph reached from one graph by relabelling its nodes."""
+    return {
+        (
+            frozenset((p[i - 1], p[j - 1]) for i, j in directed),
+            frozenset((min(p[i - 1], p[j - 1]), max(p[i - 1], p[j - 1])) for i, j in bidirected),
+        )
+        for p in permutations(range(1, n + 1))
+    }
+
+
+@pytest.mark.parametrize("n, expected", [(2, 6), (3, 200), (4, 34752)])
+def test_labeled_counts_match_brute_force(n, expected):
+    # labeled acyclic mixed graphs: labeled DAGs (OEIS A003024) x 2^C(n,2)
+    labeled = set()
+    for g in enumerate_graphs(n):
+        labeled |= _labelings(g.directed, g.bidirected, n)
+    assert len(labeled) == expected
+    report = census_report(n, trials=1)
+    assert report.labeled_total == expected
+    for row in report.rows:
+        assert row.labeled_count == len(_labelings(row.directed, row.bidirected, n))
+
+
+@pytest.mark.parametrize("n, simple_only", [(3, False), (4, True)])
+def test_oracle_runs_once_per_class(count_calls, n, simple_only):
+    calls = count_calls(semident.census, "injectivity_oracle")
+    report = census_report(n, simple_only=simple_only, trials=1)
+    assert not report.disagreements
+    assert len(calls) == report.unlabeled_total
+    assert len({canonical_form(args[0]) for args in calls}) == report.unlabeled_total
+
+
+def test_flipped_oracle_answer_is_a_disagreement(monkeypatch, capsys):
+    oracle = semident.census.injectivity_oracle
+    target = canonical_form(MixedGraph(m=3, directed={(1, 2), (2, 3)}, bidirected={(2, 3)}))
+
+    def flipped(g, trials):
+        verdict = oracle(g, trials=trials)
+        if canonical_form(g) == target:
+            return OracleVerdict(not verdict.injective, "flipped")
+        return verdict
+
+    monkeypatch.setattr(semident.census, "injectivity_oracle", flipped)
+    report = census_report(3, trials=1)
+    (row,) = [r for r in report.rows if r.key == target]
+    assert report.disagreements == [(row.directed, row.bidirected)]
+    assert main(["census", "--n", "3", "--trials", "1"]) == 2
+    capsys.readouterr()
+
+
+def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch):
+    seen = set()
+    for g in enumerate_graphs(3):
+        key = canonical_form(g)
+        if key in seen:
+            later = g  # not the first representative of its class
+            break
+        seen.add(key)
+    criterion = semident.census.check_global_identifiability
+
+    def flipped(g):
+        verdict = criterion(g)
+        if g == later:
+            return SimpleNamespace(identifiable=not verdict.identifiable)
+        return verdict
+
+    monkeypatch.setattr(semident.census, "check_global_identifiability", flipped)
+    report = census_report(3, trials=1)
+    assert report.disagreements == [(later.directed, later.bidirected)]

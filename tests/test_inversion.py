@@ -16,7 +16,7 @@ from semident.errors import (
     SemidentError,
 )
 from semident.graphs import MixedGraph
-from semident.inversion import fiber_trace, invert, rank_condition
+from semident.inversion import _step_records, fiber_trace, invert, rank_condition
 from semident.params import i_minus_lambda_inv, phi, sample_parameters
 
 
@@ -95,6 +95,30 @@ def test_rank_condition_matches_full_inverse_formula(
     # the failing steps of both reference points are reproduced
     assert not rank_condition(spiked_chain_graph, *spiked_chain_point, 3).passed
     assert not rank_condition(chain_bow_graph, *chain_bow_point, 4).passed
+
+
+def test_step_records_match_rank_condition(
+    spiked_chain_graph, spiked_chain_point, chain_bow_graph, chain_bow_point
+):
+    # one kernel pass per point yields what one rank_condition call per step gives
+    rng = random.Random(8)
+    cases = [(spiked_chain_graph, *spiked_chain_point), (chain_bow_graph, *chain_bow_point)]
+    for k in range(40):
+        g = _random_graph(rng, rng.randint(1, 7))
+        backend = ("float", "rational")[k % 2]
+        cases.append((g, *sample_parameters(g, rng.randint(0, 10**6), backend=backend)))
+    for g, lam, omega in cases:
+        records = list(_step_records(g, lam, omega))
+        assert [rec.step for rec in records] == list(range(1, g.m))
+        for rec in records:
+            ref = rank_condition(g, lam, omega, rec.step)
+            assert rec.matrix.shape == ref.matrix.shape
+            assert (rec.matrix == ref.matrix).all()
+            assert (rec.rank, rec.required_rank) == (ref.rank, ref.required_rank)
+    spiked = list(_step_records(spiked_chain_graph, *spiked_chain_point))
+    bow = list(_step_records(chain_bow_graph, *chain_bow_point))
+    assert [rec.step for rec in spiked if not rec.passed] == [3]
+    assert [rec.step for rec in bow if not rec.passed] == [4]
 
 
 def test_roundtrip_float_tolerance():
