@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from . import linalg
 from .criterion import check_global_identifiability, find_violating_set_exhaustive
@@ -151,6 +152,19 @@ class CensusRow:
     labeled_count: int
 
 
+class Disagreement(NamedTuple):
+    """A graph on which two checks of the census disagree, and which check failed.
+
+    ``reason`` is ``"verdict"`` (a representative's fixpoint verdict differs
+    from its class's), ``"oracle"`` (the oracle's answer differs from the
+    class's verdict) or ``"oracle error: <message>"`` (the oracle raised).
+    """
+
+    directed: tuple
+    bidirected: tuple
+    reason: str
+
+
 @dataclass
 class CensusReport:
     """Aggregate of a full census run; ``disagreements`` must stay empty."""
@@ -203,8 +217,8 @@ class CensusReport:
                 },
             },
             "disagreements": [
-                {"directed": sorted(d), "bidirected": sorted(b)}
-                for d, b in self.disagreements
+                {"directed": sorted(d), "bidirected": sorted(b), "reason": reason}
+                for d, b, reason in self.disagreements
             ],
         }
 
@@ -236,18 +250,21 @@ def _classify(g: MixedGraph) -> tuple:
     return key, n_aut, g.directed, g.bidirected, is_simple(g), identifiable
 
 
-def _oracle_agrees(cls: tuple, n: int, trials: int) -> bool:
-    """Pass 2, one class: does the oracle confirm the class's verdict?
+def _oracle_disagreement(cls: tuple, n: int, trials: int) -> str | None:
+    """Pass 2, one class: None when the oracle confirms the class's verdict.
 
-    Looks ``injectivity_oracle`` up as a module global on every call, so a
+    Otherwise the ``Disagreement.reason``: ``"oracle"`` for a different
+    answer, ``"oracle error: <message>"`` when the oracle raised. Looks
+    ``injectivity_oracle`` up as a module global on every call, so a
     rebinding of ``census.injectivity_oracle`` is what runs.
     """
     directed, bidirected, identifiable = cls
     g = MixedGraph(m=n, directed=directed, bidirected=bidirected)
     try:
-        return injectivity_oracle(g, trials=trials).injective == identifiable
-    except SemidentError:
-        return False
+        injective = injectivity_oracle(g, trials=trials).injective
+    except SemidentError as exc:
+        return f"oracle error: {exc}"
+    return None if injective == identifiable else "oracle"
 
 
 def census_report(
@@ -263,7 +280,8 @@ def census_report(
     classes by canonical key; every representative's verdict must agree with
     its class's verdict. The second runs the oracle once per class, on the
     class's first representative, and its answer must agree with the class's
-    verdict. Every conflict lands in ``disagreements``. The labeled count of
+    verdict. Every conflict lands in ``disagreements``, with the check that
+    failed (``Disagreement.reason``). The labeled count of
     a class is n! / |Aut(G)|, the number of distinct labelings of G. Both
     passes are streamed, in order, to at most ``min(jobs, os.cpu_count())``
     worker processes.
@@ -296,11 +314,12 @@ def census_report(
                     labeled_count=factorial // n_aut,
                 )
             elif row.identifiable != identifiable:
-                report.disagreements.append((directed, bidirected))
+                edges = (tuple(sorted(directed)), tuple(sorted(bidirected)))
+                report.disagreements.append(Disagreement(*edges, "verdict"))
         report.rows = list(classes.values())
-        check = partial(_oracle_agrees, n=n, trials=trials)
+        check = partial(_oracle_disagreement, n=n, trials=trials)
         verdicts = ((r.directed, r.bidirected, r.identifiable) for r in report.rows)
-        for row, agrees in zip(report.rows, stream(check, verdicts, 8)):
-            if not agrees:
-                report.disagreements.append((row.directed, row.bidirected))
+        for row, reason in zip(report.rows, stream(check, verdicts, 8)):
+            if reason is not None:
+                report.disagreements.append(Disagreement(row.directed, row.bidirected, reason))
     return report

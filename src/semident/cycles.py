@@ -73,7 +73,9 @@ def det_K_minus_i(p: CycleParams, i: int):
 
     Equals (prod delta) * (1/delta_i + sum_{j<i} ... + sum_{j>i} ...) with
     cyclically wrapped lambda products; cross-checked in tests against the
-    direct minor determinant.
+    direct minor determinant. O(m^2) per index: this is the single-index
+    reference, and ``cycle_fiber`` gets all m minors from the O(m)
+    recurrence of ``_minors`` instead.
     """
     if not 1 <= i <= p.m:
         raise SemidentError(f"index {i} out of range 1..{p.m}")
@@ -92,6 +94,34 @@ def det_K_minus_i(p: CycleParams, i: int):
             term *= lam[(kk - 1) % m] ** 2
         total += term
     return prod(delta) * total
+
+
+def _minors(p: CycleParams) -> list:
+    """``det_K_minus_i(p, i)`` for i = 1..m in O(m) operations.
+
+    The bracket of ``det_K_minus_i`` sums 1/delta_j times the product of
+    lambda_k^2 along the cycle from j to i. Stepping i -> i+1 multiplies
+    every such path by lambda_i^2, except the path of j = i+1, which becomes
+    empty:
+
+        total[i+1] = lambda_i^2 total[i] + (1 - prod lambda^2) / delta_{i+1}.
+
+    total[1] is a sum over suffix products of lambda^2.
+    """
+    m = p.m
+    w = [1 / linalg.parse_entry(d, p.backend) for d in p.delta]
+    sq = [v * v for v in p.lam]
+    tail, total = 1, w[0]
+    for j in range(m - 1, 0, -1):
+        tail *= sq[j]
+        total += w[j] * tail
+    gap = 1 - prod(sq)
+    totals = [total]
+    for i in range(1, m):
+        total = sq[i - 1] * total + gap * w[i]
+        totals.append(total)
+    prod_delta = prod(p.delta)
+    return [prod_delta * t for t in totals]
 
 
 @dataclass
@@ -135,9 +165,7 @@ def cycle_fiber(p0: CycleParams) -> CycleFiber:
     prod_lam_e = prod(pe.lam)
     prod_delta = prod(pe.delta)
     shift = prod_delta * (prod_lam_e**2 - 1)
-    delta1 = tuple(
-        pe.delta[i - 1] + shift / det_K_minus_i(pe, i) for i in range(1, m + 1)
-    )
+    delta1 = tuple(d + shift / minor for d, minor in zip(pe.delta, _minors(pe)))
     if any(d <= 0 for d in delta1):
         return CycleFiber([p0], degenerate=degenerate)
     # the new point satisfies -delta_{i+1} lambda_i = K_{i,i+1} at its own delta

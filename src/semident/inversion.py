@@ -96,7 +96,7 @@ def _grow_inverse(inv, lam, i: int, p: list[int]) -> None:
 def _step_record(omega: np.ndarray, inv: np.ndarray, p, s, i: int) -> StepRecord:
     """Reduced rank matrix of step i; ``inv`` needs its leading i columns only."""
     rows = [r for r in range(i) if r not in s]
-    mat = omega[rows, :i] @ inv[:i, p]
+    mat = linalg.matmul(omega[rows, :i], inv[:i, p])
     return StepRecord(step=i, matrix=mat, rank=linalg.matrix_rank(mat), required_rank=len(p))
 
 
@@ -106,7 +106,11 @@ def _omega_remainder(sigma: np.ndarray, inv: np.ndarray, lamv, wv, i: int):
     ``inv`` needs its leading i columns only; Sigma_{[i],[i]} stands in for
     the Gram matrix of the first i nodes.
     """
-    return sigma[i, i] - lamv @ sigma[:i, :i] @ lamv - 2 * (wv @ inv[:i, :i] @ lamv)
+    return (
+        sigma[i, i]
+        - linalg.matmul(lamv, sigma[:i, :i], lamv)
+        - 2 * linalg.matmul(wv, inv[:i, :i], lamv)
+    )
 
 
 def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):

@@ -4,8 +4,9 @@ Matrices live in numpy arrays with one of two element types:
 
 * ``float`` backend: ordinary ``float64`` arrays, numpy/LAPACK routines.
 * ``rational`` backend: ``object`` arrays holding ``fractions.Fraction``.
-  Elimination and products run on Python integers (rows or matrices scaled
-  by a common denominator) and build each ``Fraction`` once, at the end.
+  Elimination, products and the positive-definiteness test run on Python
+  integers (rows or matrices scaled by a common denominator) and build each
+  ``Fraction`` once, at the end.
 
 The rational backend exists because the inverse of the covariance
 parametrization is a rational map, so exact round-trips are possible on
@@ -15,8 +16,10 @@ rational inputs and serve as ground truth when float tolerances are in doubt.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -90,13 +93,29 @@ def as_float(a: np.ndarray) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
+    """Largest absolute entry as a float (0.0 for an empty array).
+
+    Rational: the exact maximum over a common denominator, rounded once.
+    Rounding is monotone, so this is the largest rounded entry.
+    """
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(as_float(np.atleast_2d(a)))))
+    if backend_of(a) == "float":
+        return float(np.max(np.abs(a)))
+    ints, d = _integers(a.flat)
+    return max(map(abs, ints)) / d
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return max_abs(np.atleast_2d(a) - np.atleast_2d(b))
+    """``max_abs(a - b)``; exact on two rational arrays, as ``max_abs`` is."""
+    a, b = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+    if "float" in (backend_of(a), backend_of(b)):
+        return max_abs(a.astype(float) - b.astype(float))
+    ai, da = _integers(a.flat)
+    bi, db = _integers(b.flat)
+    d = math.lcm(da, db)
+    fa, fb = d // da, d // db
+    return max((abs(x * fa - y * fb) for x, y in zip(ai, bi)), default=0) / d
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:
@@ -126,9 +145,15 @@ def matrix_rank(a: np.ndarray) -> int:
 
 def _integers(values) -> tuple[list[int], int]:
     """(ints, d) with values == ints / d, d the lcm of the denominators."""
-    values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in pairs))
+    return [n * (d // q) for n, q in pairs], d
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ints, d) with a == ints / d: an object array of Python ints of a's shape."""
+    ints, d = _integers(a.flat)
+    return np.array(ints, dtype=object).reshape(a.shape), d
 
 
 def _row_echelon(m: np.ndarray) -> tuple[list[list[int]], int, list[int]]:
@@ -171,6 +196,23 @@ def _row_echelon(m: np.ndarray) -> tuple[list[list[int]], int, list[int]]:
     return rows, d, pivots
 
 
+def matmul(*operands: np.ndarray):
+    """The product of matrices and vectors, associated from the left.
+
+    Float: the chained ``@``, in the same order. Rational: one common
+    denominator per operand, an integer matmul, and one ``Fraction`` per
+    output entry (a ``Fraction`` when the product is a scalar).
+    """
+    if backend_of(operands[0]) == "float":
+        return reduce(operator.matmul, operands)
+    scaled = [_scaled(a) for a in operands]
+    s = reduce(operator.matmul, (ints for ints, _ in scaled))
+    den = math.prod(d for _, d in scaled)
+    if np.ndim(s) == 0:
+        return Fraction(s, den)
+    return np.array([Fraction(v, den) for v in s.flat], dtype=object).reshape(s.shape)
+
+
 def congruence(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """The symmetric part of x^T omega x (the congruence of a symmetric omega).
 
@@ -181,10 +223,8 @@ def congruence(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     if backend_of(x) == "float":
         s = x.T @ omega @ x
         return (s + s.T) / 2.0
-    xi, dx = _integers(x.flat)
-    oi, do = _integers(omega.flat)
-    xi = np.array(xi, dtype=object).reshape(x.shape)
-    oi = np.array(oi, dtype=object).reshape(omega.shape)
+    xi, dx = _scaled(x)
+    oi, do = _scaled(omega)
     s = xi.T @ oi @ xi
     den = 2 * dx * dx * do
     n = s.shape[0]
@@ -254,7 +294,16 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> SolveResult:
 
 
 def is_pd(a: np.ndarray) -> bool:
-    """Positive definiteness: Cholesky (float) or exact pivot signs (rational)."""
+    """Positive definiteness: Cholesky (float) or exact leading minors (rational).
+
+    Rational: the rows are scaled to integers and eliminated below the
+    diagonal without row swaps (Bareiss 1968). Pivot k is then the k-th
+    leading principal minor of the scaled matrix, a positive multiple of the
+    matrix's own, and elimination stops at the first pivot that is not
+    positive. The answer is whether every leading principal minor is
+    positive, which for a symmetric matrix is positive definiteness
+    (Sylvester's criterion).
+    """
     n = a.shape[0]
     if n == 0:
         return True
@@ -264,12 +313,16 @@ def is_pd(a: np.ndarray) -> bool:
             return True
         except np.linalg.LinAlgError:
             return False
-    work = a.copy()
+    # rows[k:] hold the trailing columns k.. of the rows not yet eliminated
+    rows = [_integers(row)[0] for row in a]
+    d = 1
     for k in range(n):
-        if work[k, k] <= 0:
+        p, *tail = rows[k]
+        if p <= 0:
             return False
-        for r in range(k + 1, n):
-            if work[r, k] != 0:
-                f = work[r, k] / work[k, k]
-                work[r, k:] = work[r, k:] - f * work[k, k:]
+        rows[k + 1 :] = [
+            [(p * x - row[0] * y) // d for x, y in zip(row[1:], tail)]
+            for row in rows[k + 1 :]
+        ]
+        d = p
     return True

@@ -1,5 +1,6 @@
 """Census: enumeration counts, canonical keys, oracle, small reports."""
 
+import json
 import os
 import random
 from itertools import permutations
@@ -198,9 +199,10 @@ def test_flipped_oracle_answer_is_a_disagreement(monkeypatch, capsys):
     monkeypatch.setattr(semident.census, "injectivity_oracle", flipped)
     report = census_report(3, trials=1)
     (row,) = [r for r in report.rows if r.key == target]
-    assert report.disagreements == [(row.directed, row.bidirected)]
+    assert report.disagreements == [(row.directed, row.bidirected, "oracle")]
     assert main(["census", "--n", "3", "--trials", "1"]) == 2
-    capsys.readouterr()
+    (item,) = json.loads(capsys.readouterr().out)["disagreements"]
+    assert item["reason"] == "oracle"
 
 
 def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch):
@@ -221,4 +223,25 @@ def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch
 
     monkeypatch.setattr(semident.census, "check_global_identifiability", flipped)
     report = census_report(3, trials=1)
-    assert report.disagreements == [(later.directed, later.bidirected)]
+    edges = (tuple(sorted(later.directed)), tuple(sorted(later.bidirected)))
+    assert report.disagreements == [(*edges, "verdict")]
+    assert report.to_json()["disagreements"] == [
+        {"directed": list(edges[0]), "bidirected": list(edges[1]), "reason": "verdict"}
+    ]
+
+
+def test_raising_oracle_is_a_disagreement_with_its_message(monkeypatch):
+    oracle = semident.census.injectivity_oracle
+    target = canonical_form(MixedGraph(m=3, directed={(1, 2), (2, 3)}, bidirected={(2, 3)}))
+
+    def raising(g, trials):
+        if canonical_form(g) == target:
+            raise SemidentError("witness construction produced an invalid pair")
+        return oracle(g, trials=trials)
+
+    monkeypatch.setattr(semident.census, "injectivity_oracle", raising)
+    report = census_report(3, trials=1)
+    (row,) = [r for r in report.rows if r.key == target]
+    reason = "oracle error: witness construction produced an invalid pair"
+    assert report.disagreements == [(row.directed, row.bidirected, reason)]
+    assert report.to_json()["disagreements"][0]["reason"] == reason

@@ -12,6 +12,7 @@ from semident import linalg
 from semident.cycles import (
     CycleFiber,
     CycleParams,
+    _minors,
     cycle_fiber,
     cycle_graph,
     det_K_minus_i,
@@ -71,6 +72,36 @@ def test_det_closed_form_matches_minor():
         minor = k[np.ix_(rows, rows)]
         expected = _exact_det(minor)
         assert det_K_minus_i(p, i) == expected
+
+
+def test_recurrence_minors_match_closed_form():
+    one = Fraction(1)
+    cases = [
+        CycleParams(3, (Fraction(2), Fraction(3), Fraction(1, 2)), (one, Fraction(2), one)),
+        CycleParams(3, (Fraction(-2), Fraction(1, 3), Fraction(5, 7)), (Fraction(1, 3), one, Fraction(9, 4))),
+        # prod(lambda) = -1: the recurrence's inhomogeneous term vanishes
+        CycleParams(4, (one, -one, one, one), (Fraction(2), one, one, Fraction(3))),
+        CycleParams(5, (Fraction(-1, 2), Fraction(2), -one, -one, one), (Fraction(1, 5),) * 5),
+        # a zero coefficient: no division by lambda anywhere
+        CycleParams(4, (Fraction(0), Fraction(3), Fraction(-1, 4), one), (one, Fraction(7), one, one)),
+    ]
+    rng = random.Random(57)
+    cases += [_random_params(rng, rng.randint(3, 12)) for _ in range(30)]
+    for p in cases:
+        assert _minors(p) == [det_K_minus_i(p, i) for i in range(1, p.m + 1)]
+
+
+def test_rational_fiber_at_m96_passes_its_exact_check():
+    rng = random.Random(96)
+    m = 96
+    # |lambda_i| > 1 everywhere, so |prod lambda| > 1 and a second point exists
+    lam = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(9, 16), 8) for _ in range(m))
+    delta = tuple(Fraction(rng.randint(1, 32), 8) for _ in range(m))
+    p0 = CycleParams(m, lam, delta)
+    fiber = cycle_fiber(p0)  # raises unless kappa agrees exactly at the second point
+    assert fiber.cardinality == 2 and not fiber.degenerate
+    assert fiber.points[1] != p0
+    assert linalg.max_abs_diff(kappa_of(p0), kappa_of(fiber.points[1])) == 0
 
 
 def _exact_det(a):

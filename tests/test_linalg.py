@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semident import linalg
@@ -275,6 +275,71 @@ def test_is_pd():
     assert not linalg.is_pd(b)
 
 
+def _fraction_is_pd(a):
+    """Positive definiteness by Fraction pivot signs, as linalg once decided it."""
+    n = a.shape[0]
+    work = a.copy()
+    for k in range(n):
+        if work[k, k] <= 0:
+            return False
+        for r in range(k + 1, n):
+            if work[r, k] != 0:
+                f = work[r, k] / work[k, k]
+                work[r, k:] = work[r, k:] - f * work[k, k:]
+    return True
+
+
+@st.composite
+def pd_candidate(draw):
+    """Square rational matrices on both sides of the PD boundary and on it."""
+    n = draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    kind = draw(st.sampled_from(("any", "symmetric", "gram", "singular gram", "zero pivot")))
+    if kind == "any":
+        # not symmetric: the pivots are still the leading minor ratios
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    elif kind in ("symmetric", "zero pivot"):
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(entry)
+        if kind == "zero pivot" and n:
+            rows[draw(st.integers(0, n - 1))][0] = 0
+            rows[0][0] = 0
+    else:
+        # B B^T is PSD, and singular when B has fewer columns than rows
+        k = n if kind == "gram" else draw(st.integers(0, max(n - 1, 0)))
+        b = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        rows = [[sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
+    return linalg.to_array(rows, "rational") if n else linalg.zeros(0, 0, "rational")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pd_candidate())
+@example(linalg.zeros(0, 0, "rational"))
+@example(linalg.to_array([[-1]], "rational"))
+@example(linalg.to_array([[0]], "rational"))
+@example(linalg.to_array([["1/2", 1], [1, 2]], "rational"))  # singular PSD
+@example(linalg.to_array([[1, 1, 0], [1, 1, 0], [0, 0, 5]], "rational"))  # zero 2nd pivot
+def test_is_pd_matches_fraction_pivot_signs(a):
+    assert linalg.is_pd(a) is _fraction_is_pd(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_rational_and_float_is_pd_agree_on_well_conditioned_matrices(n, rng):
+    b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(n)]
+    rows = [[b[i][j] + b[j][i] for j in range(n)] for i in range(n)]
+    shift = Fraction(rng.randint(-40, 40), 2)
+    for i in range(n):
+        rows[i][i] += shift
+    eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
+    # far from the boundary relative to scale, so float Cholesky decides correctly
+    assume(np.min(np.abs(eig)) > 1e-6 * np.max(np.abs(eig)))
+    exact = linalg.to_array(rows, "rational")
+    assert linalg.is_pd(exact) == linalg.is_pd(linalg.as_float(exact)) == (eig[0] > 0)
+
+
 def test_check_backend():
     with pytest.raises(Exception):
         linalg.check_backend("decimal")
@@ -286,3 +351,55 @@ def test_as_float_and_diff():
     assert f.dtype == np.float64
     assert linalg.max_abs_diff(f, np.array([[0.5, 0.0], [0.0, 1.0]])) == 0.0
     assert linalg.max_abs(a) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_max_abs_rounds_the_exact_maximum_once(nrows, ncols, rng):
+    def draw():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
+
+    a = np.array([[draw() for _ in range(ncols)] for _ in range(nrows)], dtype=object)
+    b = np.array([[draw() for _ in range(ncols)] for _ in range(nrows)], dtype=object)
+    a = a.reshape(nrows, ncols)
+    b = b.reshape(nrows, ncols)
+    # the float array of the converted entries, as linalg once built it
+    assert linalg.max_abs(a) == (float(np.max(np.abs(linalg.as_float(a)))) if a.size else 0.0)
+    diff = a - b
+    expected = float(np.max(np.abs(linalg.as_float(diff)))) if diff.size else 0.0
+    assert linalg.max_abs_diff(a, b) == expected
+    if a.size:
+        # a float operand: Fraction - float subtracts in floats
+        mixed = float(np.max(np.abs(linalg.as_float(a) - linalg.as_float(b))))
+        assert linalg.max_abs_diff(a, linalg.as_float(b)) == mixed
+
+
+def test_max_abs_overflow_still_raises():
+    huge = linalg.to_array([[Fraction(10**400), 1]], "rational")
+    for call in (lambda: linalg.max_abs(huge), lambda: linalg.max_abs_diff(huge, -huge)):
+        with pytest.raises(OverflowError):
+            call()
+    assert linalg.max_abs(linalg.to_array([[Fraction(1, 10**400)]], "rational")) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_matmul_matches_fraction_and_float_products(k, n, p, rng):
+    def draw(rows, cols):
+        return [[Fraction(rng.randint(-40, 40), rng.choice((1, 3, 8))) for _ in range(cols)] for _ in range(rows)]
+
+    a, b, v = draw(k, n), draw(n, p), draw(1, p)[0]
+    for backend in linalg.BACKENDS:
+        ma = linalg.to_array(a, backend) if k else linalg.zeros(0, n, backend)
+        mb = linalg.to_array(b, backend) if n else linalg.zeros(0, p, backend)
+        vv = linalg.to_array(v, backend)
+        got, expected = linalg.matmul(ma, mb), ma @ mb
+        assert got.shape == expected.shape
+        if backend == "float":
+            assert np.array_equal(got, expected)
+            assert linalg.matmul(ma, mb, vv).tolist() == (ma @ mb @ vv).tolist()
+        else:
+            assert all(type(e) is Fraction for e in got.flat)
+            assert (got == expected).all()
+            assert linalg.matmul(vv, vv) == vv @ vv
+            assert type(linalg.matmul(vv, vv)) is Fraction
