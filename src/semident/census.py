@@ -290,6 +290,8 @@ def census_report(
         raise SemidentError(f"census_report supports 1 <= n <= 5, got {n}")
     if jobs < 1:
         raise SemidentError(f"census_report needs jobs >= 1, got {jobs}")
+    if trials < 0:
+        raise SemidentError(f"census_report needs trials >= 0, got {trials}")
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
     classes: dict[tuple, CensusRow] = {}

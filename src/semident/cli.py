@@ -35,14 +35,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, and accept it only if ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 class UsageError(SemidentError):
@@ -65,7 +75,7 @@ def _read_matrix(path: str, backend: str, m: int):
         raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         mat = matrix_from_json(data, backend)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, SemidentError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError, SemidentError) as exc:
         raise UsageError(f"cannot parse matrix file {path}: {exc}") from exc
     if mat.shape != (m, m):
         raise UsageError(
@@ -144,7 +154,7 @@ def _cmd_trace(args) -> int:
 def _parse_scalar_list(text: str, backend: str) -> tuple:
     try:
         return tuple(linalg.parse_entry(v, backend) for v in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise UsageError(f"cannot parse scalar list {text!r}: {exc}") from exc
 
 
@@ -232,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", _cmd_sample, help="draw a random valid parameter pair")
     p.add_argument("graph")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_finite_float, default=1.0)
 
     p = add("census", _cmd_census, help="enumerate and classify small graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--simple-only", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_nonnegative_int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser

@@ -18,8 +18,10 @@ And (I - Lambda)^{-1} grows by one column per step: column i+1 is e_{i+1}
 plus lambda_{k,i+1} times column k summed over the parents k in P(i), the
 path-sum recurrence of ``params.path_inverse``. No step inverts a matrix.
 
-When a step is rank deficient by one, ``fiber_trace`` follows the solution
-line symbolically and reports the structure of the fiber.
+``fiber_trace`` runs the same two step functions as ``invert`` (one solve,
+one state update) on an exact ``Fraction`` copy of Sigma. Only when a step is
+rank deficient by one does it import sympy, follow the solution line in a
+parameter t through the later steps, and report the structure of the fiber.
 """
 
 from __future__ import annotations
@@ -113,6 +115,31 @@ def _omega_remainder(sigma: np.ndarray, inv: np.ndarray, lamv, wv, i: int):
     )
 
 
+def _initial_state(sigma: np.ndarray):
+    """(Lambda, Omega, (I - Lambda)^{-1}) before step 1: only omega_11 is known."""
+    backend = linalg.backend_of(sigma)
+    m = sigma.shape[0]
+    lam = linalg.zeros(m, m, backend)
+    omega = linalg.zeros(m, m, backend)
+    omega[0, 0] = sigma[0, 0]
+    return lam, omega, linalg.identity(m, backend)
+
+
+def _step_solve(sigma: np.ndarray, inv: np.ndarray, p, s, i: int) -> linalg.SolveResult:
+    """Solve the step-i system; ``inv`` needs its leading i columns only."""
+    a = np.concatenate([sigma[:i, p], inv[s, :i].T], axis=1)
+    return linalg.solve_linear(a, sigma[:i, i])
+
+
+def _step_update(sigma: np.ndarray, state, p, s, i: int, x) -> None:
+    """Enter the step-i solution x into ``state`` and grow the inverse by column i."""
+    lam, omega, inv = state
+    lam[p, i] = x[: len(p)]
+    omega[s, i] = omega[i, s] = x[len(p) :]
+    omega[i, i] = _omega_remainder(sigma, inv, lam[:i, i], omega[:i, i], i)
+    _grow_inverse(inv, lam, i, p)
+
+
 def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):
     """Yield the rank-condition record of every step 1..m-1 in order.
 
@@ -151,29 +178,19 @@ def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_topological(g)
     backend = linalg.backend_of(sigma)
-    m = g.m
-    lam = linalg.zeros(m, m, backend)
-    omega = linalg.zeros(m, m, backend)
-    inv = linalg.identity(m, backend)
-    omega[0, 0] = sigma[0, 0]
+    state = lam, omega, inv = _initial_state(sigma)
     scale = max(1.0, linalg.max_abs(sigma))
-    for i in range(1, m):
+    for i in range(1, g.m):
         p, s = _step_indices(g, i)
         # rank decision on the reduced matrix, not the raw step system
         if not _step_record(omega, inv, p, s, i).passed:
             raise RankDeficientStepError(i)
-        a = np.concatenate([sigma[:i, p], inv[s, :i].T], axis=1)
-        res = linalg.solve_linear(a, sigma[:i, i])
+        res = _step_solve(sigma, inv, p, s, i)
         if res.solution is None or (
             backend == "float" and res.residual > CONSISTENCY_REL_TOL * scale
         ):
             raise InconsistentSystemError(i, res.residual)
-        x = res.solution
-        lam[p, i] = x[: len(p)]
-        omega[s, i] = x[len(p) :]
-        omega[i, s] = x[len(p) :]
-        omega[i, i] = _omega_remainder(sigma, inv, lam[:i, i], omega[:i, i], i)
-        _grow_inverse(inv, lam, i, p)
+        _step_update(sigma, state, p, s, i, res.solution)
     if not linalg.is_pd(omega):
         raise NotPositiveDefiniteError("recovered omega is not positive definite")
     return lam, omega
@@ -210,64 +227,73 @@ class FiberDescription:
     note: str = ""
 
 
-def _to_rational_matrix(sigma: np.ndarray, sp):
-    m = sigma.shape[0]
+def _exact_sigma(sigma: np.ndarray) -> np.ndarray:
     if linalg.backend_of(sigma) == "rational":
-        return sp.Matrix(m, m, lambda i, j: sp.Rational(sigma[i, j]))
+        return sigma
     # snap floats to nearby rationals; exact image membership is assumed
-    return sp.Matrix(
-        m, m, lambda i, j: sp.Rational(Fraction(float(sigma[i, j])).limit_denominator(10**9))
-    )
+    snapped = [[Fraction(float(v)).limit_denominator(10**9) for v in row] for row in sigma]
+    return linalg.to_array(snapped, "rational")
 
 
 def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
     """Describe the fiber of ``sigma`` under the forward map.
 
-    Runs the stepwise inversion symbolically. At the first rank-deficient step
-    (deficiency exactly one) the solution line is parametrized by a scalar t;
-    every later step contributes polynomial constraints on t. The real roots
-    of their greatest common divisor, intersected with positive definiteness
-    of Omega(t), give the fiber points. No surviving constraint means a
-    one-parameter family; deficiency two or a second deficient step gives
-    'unresolved'.
+    Runs the exact stepwise inversion of ``invert`` on ``sigma`` as a
+    ``Fraction`` matrix (float entries snap to nearby rationals). Without a
+    rank-deficient step the fiber is the single recovered point. At the first
+    deficient step, deficiency two gives 'unresolved'; deficiency one
+    parametrizes the solution line by a scalar t, and only then is the rest
+    of the inversion followed symbolically (see ``_follow_line``).
+    """
+    _require_topological(g)
+    sig = _exact_sigma(sigma)
+    state = lam, omega, inv = _initial_state(sig)
+    for i in range(1, g.m):
+        p, s = _step_indices(g, i)
+        res = _step_solve(sig, inv, p, s, i)
+        if res.solution is None:
+            raise InconsistentSystemError(i)
+        if len(res.nullspace) > 1:
+            return FiberDescription(
+                "unresolved", [], deficient_step=i, note="deficiency exceeds one"
+            )
+        if res.nullspace:
+            return _follow_line(g, sigma, sig, state, i, res)
+        _step_update(sig, state, p, s, i, res.solution)
+    return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
+
+
+def _follow_line(g: MixedGraph, sigma, sig, state, deficient_step: int, res):
+    """Follow the solution line of the deficiency-one step through the later steps.
+
+    ``state`` is the exact (Lambda, Omega, (I - Lambda)^{-1}) of the steps
+    before ``deficient_step``. From there on the entries are rational
+    functions of the line parameter t, held in sympy; every later step
+    contributes polynomial constraints on t. The real roots of their greatest
+    common divisor, intersected with positive definiteness of Omega(t), give
+    the fiber points. No surviving constraint means a one-parameter family; a
+    second deficient step gives 'unresolved'.
     """
     import sympy as sp
 
-    _require_topological(g)
     m = g.m
-    sig = _to_rational_matrix(sigma, sp)
     t = sp.Symbol("t")
-    lam_s = sp.zeros(m, m)
-    omg_s = sp.zeros(m, m)
-    inv_s = sp.eye(m)
-    omg_s[0, 0] = sig[0, 0]
-    deficient_step = None
-    direction: dict | None = None
+    sig, lam_s, omg_s, inv_s = (sp.Matrix(a) for a in (sig, *state))
+    kernel = res.nullspace[0]
+    direction = _direction_dict(*_step_indices(g, deficient_step), kernel, deficient_step)
+    x = sp.Matrix(res.solution) + t * sp.Matrix(kernel)
     constraints: list = []
 
-    for i in range(1, m):
+    for i in range(deficient_step, m):
         p, s = _step_indices(g, i)
         ginv = inv_s[:i, :i]
         # not Sigma's block: past a deficient step Omega(t) matches Sigma
         # only at the roots of the constraints
         gtpg = (ginv.T * omg_s[:i, :i] * ginv).applyfunc(sp.cancel)
-        cols = [gtpg[:, c] for c in p] + [ginv[r, :].T for r in s]
-        a = sp.Matrix.hstack(*cols) if cols else sp.zeros(i, 0)
-        b = sig[:i, i]
-        k = a.shape[1]
-
-        if deficient_step is None:
-            x = _solve_first_phase(sp, a, b, k, t, i)
-            if x == "deficient>1":
-                return FiberDescription(
-                    "unresolved", [], deficient_step=i, note="deficiency exceeds one"
-                )
-            if isinstance(x, tuple):  # deficiency one: (particular + t * kernel)
-                x, kernel = x
-                deficient_step = i
-                direction = _direction_dict(p, s, kernel, i)
-        else:
-            x, new_constraints, ok = _solve_later_phase(sp, a, b, k, t)
+        if i > deficient_step:
+            cols = [gtpg[:, c] for c in p] + [ginv[r, :].T for r in s]
+            a = sp.Matrix.hstack(*cols) if cols else sp.zeros(i, 0)
+            x, new_constraints, ok = _solve_later_phase(sp, a, sig[:i, i], a.shape[1], t)
             if not ok:
                 return FiberDescription(
                     "unresolved",
@@ -289,19 +315,14 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
         )
         _grow_inverse(inv_s, lam_s, i, p)
         inv_s[:i, i] = inv_s[:i, i].applyfunc(sp.cancel)
-        if deficient_step is not None:
-            degs = [
-                _expr_degree(sp, e, t)
-                for e in list(lam_s[:, i]) + list(omg_s[:, i]) + [omg_s[i, i]]
-            ]
-            if max(degs, default=0) > MAX_DEGREE:
-                return FiberDescription(
-                    "unresolved", [], deficient_step=deficient_step, note="degree cap hit"
-                )
-
-    if deficient_step is None:
-        point = _numeric_point(sp, lam_s, omg_s, t, 0.0, m)
-        return FiberDescription("singleton", [point])
+        degs = [
+            _expr_degree(sp, e, t)
+            for e in list(lam_s[:, i]) + list(omg_s[:, i]) + [omg_s[i, i]]
+        ]
+        if max(degs, default=0) > MAX_DEGREE:
+            return FiberDescription(
+                "unresolved", [], deficient_step=deficient_step, note="degree cap hit"
+            )
 
     constraints = [c for c in constraints if not c.is_zero]
     if not constraints:
@@ -345,32 +366,6 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
 def _expr_degree(sp, expr, t) -> int:
     num, den = sp.fraction(sp.cancel(expr))
     return max(sp.degree(num, t), sp.degree(den, t)) if expr.has(t) else 0
-
-
-def _solve_first_phase(sp, a, b, k, t, i):
-    """Solve the step system with constant coefficients.
-
-    Returns the solution vector, or (linear-in-t vector, kernel) for
-    deficiency one, or the marker string for higher deficiency. Raises
-    InconsistentSystemError when no solution exists.
-    """
-    if k == 0:
-        if any(e != 0 for e in b):
-            raise InconsistentSystemError(i)
-        return sp.zeros(0, 1)
-    try:
-        sol, params = a.gauss_jordan_solve(b)
-    except ValueError as exc:
-        raise InconsistentSystemError(i) from exc
-    taus = sorted(sol.free_symbols, key=str)
-    if not taus:
-        return sol
-    if len(taus) > 1:
-        return "deficient>1"
-    tau = taus[0]
-    kernel = sol.diff(tau)
-    particular = sol.subs(tau, 0)
-    return particular + t * kernel, kernel
 
 
 def _solve_later_phase(sp, a, b, k, t):

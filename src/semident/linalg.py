@@ -43,7 +43,12 @@ def backend_of(a: np.ndarray) -> str:
 
 
 def parse_entry(value, backend: str):
-    """Convert a scalar (int, float, Fraction, or 'p/q' string) to the backend type."""
+    """Convert a scalar (int, float, Fraction, or 'p/q' string) to the backend type.
+
+    NaN and infinite floats raise SemidentError on both backends.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SemidentError(f"entry {value} is not finite")
     if backend == "rational":
         return Fraction(value)
     return float(Fraction(value)) if isinstance(value, str) else float(value)

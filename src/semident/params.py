@@ -12,6 +12,7 @@ float/rational backend (see linalg).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -135,6 +136,8 @@ def sample_parameters(
     fractions with denominator 8 so that exact round-trips stay cheap.
     """
     linalg.check_backend(backend)
+    if not math.isfinite(scale):
+        raise SemidentError(f"scale must be finite, got {scale}")
     rng = random.Random(seed)
 
     def draw():

@@ -122,6 +122,11 @@ def test_census_report_cap():
         census_report(6)
 
 
+def test_census_report_rejects_negative_trials():
+    with pytest.raises(SemidentError, match="trials >= 0"):
+        census_report(2, trials=-3)
+
+
 def test_census_report_jobs_validated_and_capped(monkeypatch):
     sizes = []
 

@@ -184,6 +184,41 @@ def test_malformed_matrix_exit_1(capsys, iv_file, tmp_path, backend):
             assert captured.err.startswith("semident: error:")
 
 
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("command", ["invert", "trace"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_matrix_entry_exit_1(capsys, chain_file, tmp_path, backend, command, value):
+    # json writes NaN and Infinity, and json.loads reads them back as floats
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps([[2.0, 1.0, 0.5], [1.0, value, 1.0], [0.5, 1.0, 2.0]]))
+    code = main([command, chain_file, str(path), "--backend", backend])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("semident: error: cannot parse matrix file")
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "GRAPH", "--scale", "nan"],
+        ["sample", "GRAPH", "--scale", "inf"],
+        ["sample", "GRAPH", "--scale=-inf", "--backend", "rational"],
+        ["census", "--n", "2", "--trials", "-3"],
+        ["census", "--n", "2", "--trials", "x"],
+    ],
+)
+def test_unchecked_numeric_flags_exit_1(capsys, chain_file, argv):
+    argv = [chain_file if a == "GRAPH" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert "expected a" in captured.err
+
+
 def test_malformed_graph_json_exit_1(capsys, tmp_path):
     path = tmp_path / "g.json"
     for kind in ("directed", "bidirected"):

@@ -1,11 +1,16 @@
 """Stepwise inversion, rank conditions, and fiber tracing."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semident
 from semident import linalg
 from semident.census import enumerate_graphs
 from semident.criterion import check_global_identifiability
@@ -205,6 +210,77 @@ def test_fiber_family_scan_steps_over_a_pole():
         lam_t, omega_t = desc.family.evaluate(t)
         assert linalg.is_pd(omega_t)
         assert linalg.max_abs_diff(phi(g, lam_t, omega_t), linalg.as_float(sigma)) <= 1e-9
+
+
+def test_singleton_trace_leaves_sympy_unimported():
+    # sympy is imported only once a trace meets a rank-deficient step
+    script = "\n".join(
+        [
+            "import sys",
+            "from semident.graphs import MixedGraph",
+            "from semident.inversion import fiber_trace",
+            "from semident.params import phi, sample_parameters",
+            # square step systems: a float Sigma snaps to a point of the image
+            "d = {(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)}",
+            "g = MixedGraph(m=4, directed=d, bidirected={(3, 4)})",
+            "for backend in ('float', 'rational'):",
+            "    sigma = phi(g, *sample_parameters(g, 3, backend=backend))",
+            "    desc = fiber_trace(g, sigma)",
+            "    assert (desc.kind, desc.deficient_step) == ('singleton', None)",
+            "print('sympy' in sys.modules)",
+        ]
+    )
+    src = str(Path(semident.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_singleton_trace_point_is_the_inverted_point_bit_for_bit():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = _random_identifiable(rng, max_m=7)
+        sigma = phi(g, *sample_parameters(g, rng.randint(0, 10**6), backend="rational"))
+        desc = fiber_trace(g, sigma)
+        assert (desc.kind, desc.deficient_step, desc.note) == ("singleton", None, "")
+        [(lam_t, omega_t)] = desc.points
+        lam, omega = invert(g, sigma)
+        assert lam_t.dtype == omega_t.dtype == np.float64
+        assert lam_t.tobytes() == linalg.as_float(lam).tobytes()
+        assert omega_t.tobytes() == linalg.as_float(omega).tobytes()
+
+
+@pytest.mark.parametrize("backend", linalg.BACKENDS)
+def test_trace_off_image_sigma_is_inconsistent_without_residual(backend):
+    # empty graph: any correlation is off-image at step 1
+    cases = [(MixedGraph(m=2), linalg.to_array([[2, 1], [1, 2]], backend), 1)]
+    # chain 1 -> 2 -> 3: a moved sigma_13 contradicts step 2's two equations
+    chain = MixedGraph(m=3, directed={(1, 2), (2, 3)})
+    sigma = phi(chain, *sample_parameters(chain, 4, backend=backend))
+    sigma[0, 2] = sigma[2, 0] = sigma[0, 2] + 1
+    cases.append((chain, sigma, 2))
+    for g, sigma, step in cases:
+        with pytest.raises(InconsistentSystemError) as exc:
+            fiber_trace(g, sigma)
+        assert exc.value.step == step
+        assert exc.value.residual is None
+        assert str(exc.value) == f"inversion step {step} is inconsistent"
+
+
+def test_trace_deficiency_two_is_unresolved():
+    # node 3 has parents and siblings {1, 2}: four unknowns, two equations
+    g = MixedGraph(m=3, directed={(1, 3), (2, 3)}, bidirected={(1, 3), (2, 3)})
+    for backend in linalg.BACKENDS:
+        desc = fiber_trace(g, phi(g, *sample_parameters(g, 6, backend=backend)))
+        assert (desc.kind, desc.deficient_step) == ("unresolved", 2)
+        assert desc.note == "deficiency exceeds one"
+        assert desc.points == [] and desc.family is None
 
 
 def test_fiber_of_singleton_graph():

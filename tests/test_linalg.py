@@ -22,6 +22,15 @@ def test_parse_entry():
     assert linalg.parse_entry(0.5, "float") == 0.5
 
 
+@pytest.mark.parametrize("backend", linalg.BACKENDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_parse_entry_rejects_non_finite(backend, value):
+    with pytest.raises(SemidentError, match="not finite"):
+        linalg.parse_entry(value, backend)
+    with pytest.raises(SemidentError, match="not finite"):
+        linalg.to_array([[1.0, value], [value, 1.0]], backend)
+
+
 def test_entry_to_json():
     assert linalg.entry_to_json(Fraction(1, 3)) == "1/3"
     assert linalg.entry_to_json(Fraction(4)) == "4"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from semident import linalg
 from semident.errors import (
     NotPositiveDefiniteError,
+    SemidentError,
     SingularIminusLambdaError,
     SupportViolationError,
 )
@@ -118,6 +119,13 @@ def test_sample_parameters_deterministic_and_valid():
     assert np.array_equal(lam1, lam2) and np.array_equal(om1, om2)
     check_lambda_support(g, lam1)
     check_omega_support(g, om1)
+
+
+@pytest.mark.parametrize("backend", linalg.BACKENDS)
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_sample_parameters_rejects_non_finite_scale(iv_graph, backend, scale):
+    with pytest.raises(SemidentError, match="scale must be finite"):
+        sample_parameters(iv_graph, 1, scale=scale, backend=backend)
 
 
 def test_sample_parameters_rational_backend():
