@@ -19,10 +19,12 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from multiprocessing import Pool
 from typing import NamedTuple
+
+import numpy as np
 
 from . import linalg
 from .criterion import check_global_identifiability, find_violating_set_exhaustive
@@ -62,34 +64,69 @@ def canonical_form(g: MixedGraph) -> tuple:
     """Lexicographically minimal edge encoding over all node permutations.
 
     Two graphs share a key exactly when they are isomorphic as mixed graphs.
-    Brute force over n! <= 720 permutations at the census cap.
+    All n! <= 720 permutations are tried at once, through a table of edge
+    images built once per node count (see ``_canonical``).
     """
     return _canonical(g)[0]
+
+
+@cache
+def _permutation_table(n: int) -> tuple[tuple, dict, np.ndarray]:
+    """Image bits of every possible edge under every node permutation of 1..n.
+
+    Each possible edge owns one bit: the directed pairs (i, j), i != j, sit
+    above the bidirected pairs i < j, and within a kind a smaller pair sits
+    on a higher bit. Returns ``(edges, row, table)``: ``edges`` lists
+    ``(kind, pair)`` from the highest bit down, ``row`` maps each edge to its
+    row of ``table``, and that row holds the edge's image bit under each
+    permutation, one column per permutation. Every caller shares the result,
+    so the table is read-only.
+    """
+    directed = [("d", (i, j)) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    bidirected = [("b", pair) for pair in combinations(range(1, n + 1), 2)]
+    edges = tuple(directed + bidirected)
+    bit = {edge: 1 << (len(edges) - 1 - k) for k, edge in enumerate(edges)}
+    perms = list(permutations(range(1, n + 1)))
+
+    def image(kind, i, j, perm):
+        i, j = perm[i - 1], perm[j - 1]
+        return bit[kind, (i, j) if kind == "d" else (min(i, j), max(i, j))]
+
+    table = np.array(
+        [[image(kind, i, j, perm) for perm in perms] for kind, (i, j) in edges],
+        dtype=np.int64,
+    ).reshape(len(edges), len(perms))
+    table.flags.writeable = False
+    return edges, {edge: k for k, edge in enumerate(edges)}, table
 
 
 def _canonical(g: MixedGraph) -> tuple[tuple, int]:
     """``canonical_form(g)`` and |Aut(g)|.
 
-    The permutations that reach the minimal key form one coset of the
-    automorphism group, so counting them gives its order.
+    A permutation keeps both edge counts, and of two sorted edge tuples of
+    equal length the one holding the smallest edge they do not share comes
+    first. So the minimal key ``(m, directed, bidirected)`` is the
+    permutation image with the largest mask in the bit order of
+    ``_permutation_table``, and the edges of that mask, read from its top
+    bit down, are the key's sorted tuples. The permutations that reach the
+    largest mask form one coset of the automorphism group, so counting them
+    gives its order.
     """
     if g.m > MAX_N:
         raise SemidentError(f"canonical_form supports m <= {MAX_N}")
-    best, n_aut = None, 0
-    for perm in permutations(range(1, g.m + 1)):
-        directed = tuple(sorted((perm[i - 1], perm[j - 1]) for i, j in g.directed))
-        bidirected = tuple(
-            sorted(
-                (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-                for i, j in g.bidirected
-            )
-        )
-        key = (g.m, directed, bidirected)
-        if best is None or key < best:
-            best, n_aut = key, 1
-        elif key == best:
-            n_aut += 1
-    return best, n_aut
+    edges, row, table = _permutation_table(g.m)
+    rows = [row["d", e] for e in g.directed] + [row["b", e] for e in g.bidirected]
+    # the bits of one permutation's images are distinct, so their sum is their OR
+    images = table[rows].sum(axis=0)
+    best = int(images.max())
+    n_aut = int(np.count_nonzero(images == best))
+    key_edges: dict[str, list] = {"d": [], "b": []}
+    while best:
+        top = best.bit_length() - 1
+        kind, pair = edges[-1 - top]
+        key_edges[kind].append(pair)
+        best ^= 1 << top
+    return (g.m, tuple(key_edges["d"]), tuple(key_edges["b"])), n_aut
 
 
 def _seed_from_key(key: tuple, salt: int = 0) -> int:

@@ -140,6 +140,11 @@ def _step_update(sigma: np.ndarray, state, p, s, i: int, x) -> None:
     _grow_inverse(inv, lam, i, p)
 
 
+def _require_pd(omega: np.ndarray) -> None:
+    if not linalg.is_pd(omega):
+        raise NotPositiveDefiniteError("recovered omega is not positive definite")
+
+
 def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):
     """Yield the rank-condition record of every step 1..m-1 in order.
 
@@ -191,8 +196,7 @@ def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ):
             raise InconsistentSystemError(i, res.residual)
         _step_update(sigma, state, p, s, i, res.solution)
-    if not linalg.is_pd(omega):
-        raise NotPositiveDefiniteError("recovered omega is not positive definite")
+    _require_pd(omega)
     return lam, omega
 
 
@@ -240,7 +244,9 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
 
     Runs the exact stepwise inversion of ``invert`` on ``sigma`` as a
     ``Fraction`` matrix (float entries snap to nearby rationals). Without a
-    rank-deficient step the fiber is the single recovered point. At the first
+    rank-deficient step the fiber is the single recovered point, and, as in
+    ``invert``, a recovered Omega that is not positive definite raises
+    ``NotPositiveDefiniteError`` (the fiber is empty). At the first
     deficient step, deficiency two gives 'unresolved'; deficiency one
     parametrizes the solution line by a scalar t, and only then is the rest
     of the inversion followed symbolically (see ``_follow_line``).
@@ -260,6 +266,7 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
         if res.nullspace:
             return _follow_line(g, sigma, sig, state, i, res)
         _step_update(sig, state, p, s, i, res.solution)
+    _require_pd(omega)
     return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
 
 

@@ -127,13 +127,26 @@ def mat_inv(a: np.ndarray) -> np.ndarray:
     """Matrix inverse: LAPACK (float) or exact reduction of [A | I] (rational)."""
     if backend_of(a) == "float":
         return np.linalg.inv(a)
-    n = a.shape[0]
-    rows, den, pivots = _row_echelon(np.concatenate([a, identity(n, "rational")], axis=1))
+    rows, den = _inverse(a)
+    return _fractions(np.array(rows, dtype=object).reshape(a.shape), den)
+
+
+def _inverse(a: np.ndarray) -> tuple[list[list[int]], int]:
+    """(rows, den) with a^{-1} == rows / den, by exact reduction of [A | I].
+
+    ``a`` is a square object array of ``Fraction``s or Python ints. Raises
+    ``SemidentError`` when ``a`` is singular.
+    """
+    n = len(a)
+    aug = []
+    for i, row in enumerate(a.tolist()):
+        ints, d = _integers(row)
+        aug.append(ints + [d if k == i else 0 for k in range(n)])  # row i of [A | I], scaled
+    rows, den, pivots = _row_echelon(aug)
     # [A | I] has rank n; A is invertible iff its own columns hold every pivot
     if pivots != list(range(n)):
         raise SemidentError("matrix is singular")
-    inv = [Fraction(v, den) for row in rows for v in row[n:]]
-    return np.array(inv, dtype=object).reshape(n, n)
+    return [row[n:] for row in rows], den
 
 
 def matrix_rank(a: np.ndarray) -> int:
@@ -145,14 +158,19 @@ def matrix_rank(a: np.ndarray) -> int:
         if sv.size == 0 or sv[0] == 0.0:
             return 0
         return int(np.sum(sv > RANK_REL_TOL * sv[0]))
-    return len(_row_echelon(a)[2])
+    return len(_row_echelon(_integer_rows(a))[2])
 
 
 def _integers(values) -> tuple[list[int], int]:
     """(ints, d) with values == ints / d, d the lcm of the denominators."""
     pairs = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*(q for _, q in pairs))
-    return [n * (d // q) for n, q in pairs], d
+    d = math.lcm(*{q for _, q in pairs})
+    return [n if q == d else n * (d // q) for n, q in pairs], d
+
+
+def _integer_rows(a: np.ndarray) -> list[list[int]]:
+    """Each row of a rational matrix scaled to integers by its own common denominator."""
+    return [_integers(row)[0] for row in a.tolist()]
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -161,11 +179,17 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(a.shape), d
 
 
-def _row_echelon(m: np.ndarray) -> tuple[list[list[int]], int, list[int]]:
+def _fractions(ints: np.ndarray, den: int) -> np.ndarray:
+    """The object array ``ints / den``, one ``Fraction`` per entry."""
+    return np.array([Fraction(v, den) for v in ints.flat], dtype=object).reshape(ints.shape)
+
+
+def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form of a rational matrix by fraction-free elimination.
 
-    Scaling a row to integers keeps the row space, and so the reduced form.
-    Gauss-Jordan elimination then runs on Python integers (Bareiss 1968): the
+    ``rows`` are the matrix's rows scaled to integers (``_integer_rows``);
+    scaling a row keeps the row space, and so the reduced form. Gauss-Jordan
+    elimination then runs on the Python integers (Bareiss 1968), in place: the
     update ``(p * row - a * pivot_row) // d`` of every other row by the pivot
     ``p`` divides exactly by the previous pivot ``d``, so entries stay minors
     of the integer matrix instead of growing geometrically.
@@ -174,11 +198,10 @@ def _row_echelon(m: np.ndarray) -> tuple[list[list[int]], int, list[int]]:
     first ``len(pivots)`` rows hold ``den`` at their pivot column, the others
     are zero. ``pivots`` lists the pivot columns in order.
     """
-    rows = [_integers(row)[0] for row in m]
     nrows = len(rows)
     pivots: list[int] = []
     d = 1
-    for col in range(m.shape[1]):
+    for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         if top == nrows:
             break
@@ -215,7 +238,7 @@ def matmul(*operands: np.ndarray):
     den = math.prod(d for _, d in scaled)
     if np.ndim(s) == 0:
         return Fraction(s, den)
-    return np.array([Fraction(v, den) for v in s.flat], dtype=object).reshape(s.shape)
+    return _fractions(s, den)
 
 
 def congruence(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -228,7 +251,11 @@ def congruence(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     if backend_of(x) == "float":
         s = x.T @ omega @ x
         return (s + s.T) / 2.0
-    xi, dx = _scaled(x)
+    return _congruence(*_scaled(x), omega)
+
+
+def _congruence(xi: np.ndarray, dx: int, omega: np.ndarray) -> np.ndarray:
+    """``congruence(xi / dx, omega)`` for an object array ``xi`` of Python ints."""
     oi, do = _scaled(omega)
     s = xi.T @ oi @ xi
     den = 2 * dx * dx * do
@@ -278,7 +305,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> SolveResult:
     aug = zeros(nrows, ncols + 1, "rational")
     aug[:, :ncols] = a
     aug[:, ncols] = b
-    rows, den, pivots = _row_echelon(aug)
+    rows, den, pivots = _row_echelon(_integer_rows(aug))
     if ncols in pivots:
         # a pivot in the b column means 0 = nonzero: inconsistent
         rank = len(pivots) - 1
@@ -319,7 +346,7 @@ def is_pd(a: np.ndarray) -> bool:
         except np.linalg.LinAlgError:
             return False
     # rows[k:] hold the trailing columns k.. of the rows not yet eliminated
-    rows = [_integers(row)[0] for row in a]
+    rows = _integer_rows(a)
     d = 1
     for k in range(n):
         p, *tail = rows[k]

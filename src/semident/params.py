@@ -61,27 +61,56 @@ def check_omega_support(g: MixedGraph, omega: np.ndarray) -> None:
 
 
 def _i_minus_lambda(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
-    """I - Lambda; raises SingularIminusLambdaError when a float one is near singular."""
-    backend = linalg.backend_of(lam)
-    a = linalg.identity(g.m, backend) - lam
-    if backend == "float" and abs(np.linalg.det(a)) < 1e-12:
+    """Float I - Lambda; raises SingularIminusLambdaError when it is near singular."""
+    a = linalg.identity(g.m, "float") - lam
+    if abs(np.linalg.det(a)) < 1e-12:
         raise SingularIminusLambdaError("I - Lambda is singular")
     return a
 
 
-def i_minus_lambda_inv(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
-    """(I - Lambda)^{-1}, raising SingularIminusLambdaError when singular."""
-    a = _i_minus_lambda(g, lam)
+def _i_minus_lambda_scaled(lam: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a, d) with I - Lambda == a / d for a rational Lambda.
+
+    ``a`` is the object array of Python ints d * I - N, where Lambda == N / d
+    over its common denominator d.
+    """
+    ints, d = linalg._scaled(lam)
+    a = -ints
+    for i in range(len(a)):
+        a[i, i] += d
+    return a, d
+
+
+def _inverse_scaled(lam: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, den) with (I - Lambda)^{-1} == x / den for a rational Lambda."""
+    a, d = _i_minus_lambda_scaled(lam)
     try:
-        return linalg.mat_inv(a)
+        rows, den = linalg._inverse(a)
     except SemidentError as exc:
         raise SingularIminusLambdaError("I - Lambda is singular") from exc
+    # (a / d)^{-1} == d * a^{-1}, over its smallest common denominator
+    x = np.array(rows, dtype=object).reshape(a.shape) * d
+    k = math.gcd(den, *x.flat)
+    return x // k, den // k
+
+
+def i_minus_lambda_inv(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
+    """(I - Lambda)^{-1}, raising SingularIminusLambdaError when singular."""
+    if linalg.backend_of(lam) == "rational":
+        return linalg._fractions(*_inverse_scaled(lam))
+    return linalg.mat_inv(_i_minus_lambda(g, lam))
 
 
 def phi(g: MixedGraph, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Forward covariance map (I - Lambda)^{-T} Omega (I - Lambda)^{-1}."""
+    """Forward covariance map (I - Lambda)^{-T} Omega (I - Lambda)^{-1}.
+
+    Rational: the congruence is taken on the integer inverse of
+    ``_inverse_scaled``, so no ``Fraction`` is built before the output's.
+    """
     check_lambda_support(g, lam)
     check_omega_support(g, omega)
+    if linalg.backend_of(lam) == "rational":
+        return linalg._congruence(*_inverse_scaled(lam), omega)
     return linalg.congruence(i_minus_lambda_inv(g, lam), omega)
 
 
@@ -95,10 +124,15 @@ def kappa(g: MixedGraph, lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
     backend = linalg.backend_of(lam)
     if any(d <= 0 for d in delta):
         raise NotPositiveDefiniteError("delta entries must be positive")
-    a = _i_minus_lambda(g, lam)
+    if backend == "rational":
+        a, d = _i_minus_lambda_scaled(lam)
+    else:
+        a = _i_minus_lambda(g, lam)
     dmat = linalg.zeros(g.m, g.m, backend)
     for i in range(g.m):
         dmat[i, i] = linalg.parse_entry(delta[i], backend)
+    if backend == "rational":
+        return linalg._congruence(a.T, d, dmat)
     return linalg.congruence(a.T, dmat)
 
 

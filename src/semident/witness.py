@@ -167,9 +167,28 @@ def witness_from_set(
     one = linalg.parse_entry(1, backend)
     x = [one] * n
     lam = build_arborescence_lambda(skeleton, x)  # x sets the backend
-    omega = linalg.to_array(build_laplacian_omega(skeleton), backend)
+    omega = build_laplacian_omega(skeleton)  # exact
+    if backend == "float":
+        omega = linalg.as_float(omega)
 
-    sigma_sub = phi(skeleton, lam, omega)
+    # lift points from the subgraph back to the full graph: zero Lambda and
+    # identity Omega off the subgraph's nodes
+    to_orig = {new: old for old, new in to_topo.items()}
+    pos = [to_orig[back_to_topo[k]] - 1 for k in range(1, mm + 1)]
+    block = np.ix_(pos, pos)
+
+    def lift(lam_s, omega_s):
+        lam_full = linalg.zeros(g.m, g.m, backend)
+        omega_full = linalg.identity(g.m, backend)
+        lam_full[block] = lam_s
+        omega_full[block] = omega_s
+        return lam_full, omega_full
+
+    point_a = lift(lam, omega)
+    sigma_a = phi(g, *point_a)
+    # point a keeps the subgraph apart from the other nodes, so its
+    # covariance over the subgraph is the skeleton's
+    sigma_sub = sigma_a[block]
 
     # kernel direction of the final step system
     p, s = _step_indices(skeleton, n)
@@ -194,25 +213,7 @@ def witness_from_set(
         if float(t) < 1e-8:
             raise PDPerturbationFailedError("perturbation step size underflowed")
 
-    # lift both points (and sigma) from the subgraph back to the full graph
-    to_orig = {new: old for old, new in to_topo.items()}
-    pos = [to_orig[back_to_topo[k]] - 1 for k in range(1, mm + 1)]
-
-    def lift(lam_s, omega_s):
-        lam_full = linalg.zeros(g.m, g.m, backend)
-        omega_full = linalg.identity(g.m, backend)
-        for i in range(mm):
-            for j in range(mm):
-                lam_full[pos[i], pos[j]] = lam_s[i, j]
-                if i != j:
-                    omega_full[pos[i], pos[j]] = omega_s[i, j]
-                else:
-                    omega_full[pos[i], pos[i]] = omega_s[i, i]
-        return lam_full, omega_full
-
-    point_a = lift(lam, omega)
     point_b = lift(lam_b, omega_b)
-    sigma_a = phi(g, *point_a)
     sigma_b = phi(g, *point_b)
     residual = linalg.max_abs_diff(sigma_a, sigma_b)
     separation = max(

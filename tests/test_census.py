@@ -1,5 +1,6 @@
 """Census: enumeration counts, canonical keys, oracle, small reports."""
 
+import hashlib
 import json
 import os
 import random
@@ -7,6 +8,8 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semident.census
 import semident.criterion
@@ -46,6 +49,52 @@ def test_canonical_form_isomorphism_invariant():
         rng.shuffle(perm)
         h = relabel(g, {i + 1: perm[i] for i in range(4)})
         assert canonical_form(g) == canonical_form(h)
+
+
+def _brute_force_canonical(g):
+    """``census._canonical`` by trying every node permutation: (key, |Aut(g)|)."""
+    best, n_aut = None, 0
+    for perm in permutations(range(1, g.m + 1)):
+        directed = tuple(sorted((perm[i - 1], perm[j - 1]) for i, j in g.directed))
+        bidirected = tuple(
+            sorted(
+                (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
+                for i, j in g.bidirected
+            )
+        )
+        key = (g.m, directed, bidirected)
+        if best is None or key < best:
+            best, n_aut = key, 1
+        elif key == best:
+            n_aut += 1
+    return best, n_aut
+
+
+@st.composite
+def _mixed_graphs(draw, max_m=6):
+    """Any mixed graph on 0..max_m nodes: directed edges both ways, cycles included."""
+    m = draw(st.integers(0, max_m))
+    ordered = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    unordered = [(i, j) for i, j in ordered if i < j]
+    dmask = draw(st.integers(0, (1 << len(ordered)) - 1))
+    bmask = draw(st.integers(0, (1 << len(unordered)) - 1))
+    return MixedGraph(
+        m=m,
+        directed={e for k, e in enumerate(ordered) if dmask >> k & 1},
+        bidirected={e for k, e in enumerate(unordered) if bmask >> k & 1},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_graphs())
+def test_canonical_key_and_automorphisms_match_brute_force(g):
+    assert semident.census._canonical(g) == _brute_force_canonical(g)
+
+
+def test_canonical_matches_brute_force_on_every_census_graph():
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            assert semident.census._canonical(g) == _brute_force_canonical(g)
 
 
 def test_canonical_form_distinguishes_edge_kinds():
@@ -108,6 +157,18 @@ def test_census_report_csv_shape():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "directed,bidirected,simple,identifiable,labeled_count"
     assert len(lines) == 5
+
+
+#: SHA-256 of ``census_report(4)``'s CSV followed by its JSON (sorted keys),
+#: as first computed by the brute-force canonical form: it pins the row order
+#: that the canonical key sets.
+CENSUS_N4_SHA256 = "e09886b972369515cd8f2269255260c79f48c43e2290c997ff144374429f927a"
+
+
+def test_census_report_four_nodes_matches_pinned_digest():
+    report = census_report(4)
+    text = report.to_csv() + json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_N4_SHA256
 
 
 def test_census_report_parallel_matches_serial():

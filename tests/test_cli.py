@@ -156,6 +156,22 @@ def test_invert_domain_error_exit_2(capsys, tmp_path):
     assert trace["kind"] == "singleton"
 
 
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_trace_non_pd_omega_exit_2(capsys, tmp_path, backend):
+    graph = tmp_path / "g.graph"
+    graph.write_text("1 -> 2\n")
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps([[1, 2], [2, 1]]))  # recovers omega = diag(1, -3)
+    code, out = _run(capsys, "trace", str(graph), str(sigma), "--backend", backend)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {
+            "type": "NotPositiveDefiniteError",
+            "message": "recovered omega is not positive definite",
+        }
+    }
+
+
 def test_invert_dimension_mismatch_exit_1(capsys, iv_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"labels": ["1", "2"], "entries": [[1, 0], [0, 1]]}))

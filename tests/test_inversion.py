@@ -17,6 +17,7 @@ from semident.criterion import check_global_identifiability
 from semident.errors import (
     CyclicDirectedPartError,
     InconsistentSystemError,
+    NotPositiveDefiniteError,
     RankDeficientStepError,
     SemidentError,
 )
@@ -271,6 +272,19 @@ def test_trace_off_image_sigma_is_inconsistent_without_residual(backend):
         assert exc.value.step == step
         assert exc.value.residual is None
         assert str(exc.value) == f"inversion step {step} is inconsistent"
+
+
+@pytest.mark.parametrize("backend", linalg.BACKENDS)
+def test_singleton_trace_with_non_pd_omega_raises_like_invert(backend):
+    # 1 -> 2 with sigma = [[1, 2], [2, 1]] recovers lambda_12 = 2, omega = diag(1, -3)
+    g = MixedGraph(m=2, directed={(1, 2)})
+    sigma = linalg.to_array([[1, 2], [2, 1]], backend)
+    messages = []
+    for call in (invert, fiber_trace):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            call(g, sigma)
+        messages.append(str(exc.value))
+    assert messages == ["recovered omega is not positive definite"] * 2
 
 
 def test_trace_deficiency_two_is_unresolved():

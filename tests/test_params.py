@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -161,6 +162,62 @@ def test_phi_rational_matches_float(seed, m):
     assert linalg.max_abs_diff(linalg.as_float(exact), approx) <= 1e-9 * max(
         1.0, linalg.max_abs(exact)
     )
+
+
+def _reference_phi(g, lam, omega):
+    """Rational ``phi`` as composed before its integer path: the congruence
+    of ``mat_inv(identity - Lambda)``, with the same errors."""
+    check_lambda_support(g, lam)
+    check_omega_support(g, omega)
+    try:
+        inv = linalg.mat_inv(linalg.identity(g.m, "rational") - lam)
+    except SemidentError as exc:
+        raise SingularIminusLambdaError("I - Lambda is singular") from exc
+    return linalg.congruence(inv, omega)
+
+
+def _outcome(call):
+    """A call's exact result, or the type and message of the error it raised."""
+    try:
+        out = call()
+    except SemidentError as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(v) is Fraction for v in out.flat)
+    return out.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 3))
+def test_rational_phi_matches_mat_inv_reference(seed, m, cycle_len):
+    # arbitrary directed parts, cycles included; a planted cycle of cycle_len
+    # nodes whose weights multiply to 1 makes I - Lambda singular
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    cycle = [(k, k % cycle_len + 1) for k in range(1, cycle_len + 1)] if 2 <= cycle_len <= m else []
+    g = MixedGraph(
+        m=m,
+        directed={p for p in pairs if rng.random() < 0.3} | set(cycle),
+        bidirected={p for p in pairs if p[0] < p[1] and rng.random() < 0.4},
+    )
+    lam, omega = sample_parameters(g, seed, backend="rational")
+    if cycle:
+        weights = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 4))) for _ in cycle]
+        weights[-1] = 1 / prod(weights[:-1])
+        for (i, j), w in zip(cycle, weights):
+            lam[i - 1, j - 1] = w
+    if rng.random() < 0.2:
+        omega[0, 0] = -omega[0, 0]  # not positive definite
+    assert _outcome(lambda: phi(g, lam, omega)) == _outcome(
+        lambda: _reference_phi(g, lam, omega)
+    )
+    identity = linalg.identity(m, "rational")
+    reference_inv = _outcome(lambda: linalg.mat_inv(identity - lam))
+    if isinstance(reference_inv, tuple):
+        reference_inv = ("SingularIminusLambdaError", "I - Lambda is singular")
+    assert _outcome(lambda: i_minus_lambda_inv(g, lam)) == reference_inv
+    delta = [omega[i, i] if omega[i, i] > 0 else Fraction(1) for i in range(m)]
+    dmat = linalg.to_array([[delta[i] if i == j else 0 for j in range(m)] for i in range(m)], "rational")
+    assert kappa(g, lam, delta).tolist() == linalg.congruence((identity - lam).T, dmat).tolist()
 
 
 def test_i_minus_lambda_inv_cyclic_ok():
