@@ -26,13 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, witness
 from .criterion import check_global_identifiability, find_violating_set_exhaustive
 from .errors import SemidentError
 from .graphs import MixedGraph, is_simple, relabel_topologically
 from .inversion import _step_records
 from .params import sample_parameters
-from .witness import witness_from_set
 
 #: hard cap on census node counts
 MAX_N = 6
@@ -129,9 +128,16 @@ def _canonical(g: MixedGraph) -> tuple[tuple, int]:
     return (g.m, tuple(key_edges["d"]), tuple(key_edges["b"])), n_aut
 
 
-def _seed_from_key(key: tuple, salt: int = 0) -> int:
+def _seed_from_key(key: tuple) -> int:
+    """Probe seed base of a class; probe k samples at ``_seed_from_key(key) ^ k``."""
     digest = hashlib.sha256(repr(key).encode()).digest()
-    return int.from_bytes(digest[:8], "big") ^ salt
+    return int.from_bytes(digest[:8], "big")
+
+
+#: the oracle's witness points per skeleton: a pure function of its edges,
+#: so isomorphism classes that share a skeleton share the exact arithmetic.
+#: Read-only arrays; at most a few thousand entries, since m <= 5.
+_skeleton_points = cache(witness._skeleton_points)
 
 
 @dataclass
@@ -145,10 +151,13 @@ class OracleVerdict:
 def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVerdict:
     """Decide injectivity without the fixpoint search.
 
-    Runs the exhaustive induced-subgraph scan; an injective answer is backed
-    by rank conditions at random parameter points (and at Lambda = 0,
-    Omega = I), a noninjective answer by an explicit verified witness pair
-    built inside the set the scan found.
+    Runs the exhaustive induced-subgraph scan. An injective answer is backed
+    by rank conditions at Lambda = 0, Omega = I and at ``trials`` random
+    parameter points: the points are stacked and walk the inversion steps
+    together, one batched rank decision per step. A noninjective answer is
+    backed by an explicit witness pair built inside the set the scan found
+    and verified on ``g`` itself; the pair's two skeleton points are
+    memoized per skeleton within the process (see ``_oracle_witness``).
     Internal failures raise rather than silently passing.
     """
     if g.m > 5:
@@ -156,25 +165,40 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
     topo, to_topo = relabel_topologically(g)
     hit = find_violating_set_exhaustive(topo)
     if hit is None:
-        key = canonical_form(g)
-        lam0 = linalg.zeros(topo.m, topo.m, "float")
-        omega0 = linalg.identity(topo.m, "float")
-        points = [(lam0, omega0)]
-        for k in range(trials):
-            points.append(sample_parameters(topo, _seed_from_key(key, salt=k)))
-        for lam, omega in points:
-            for rec in _step_records(topo, lam, omega):
-                if not rec.passed:
+        lam, omega = _probe_points(topo, canonical_form(g), trials)
+        records = list(_step_records(topo, lam, omega))
+        for k in range(len(lam)):  # report point by point, each step in order
+            for rec in records:
+                if not rec.passed[k]:
                     raise SemidentError(
                         f"subset scan says injective but rank fails at step {rec.step}"
                     )
-        return OracleVerdict(True, f"rank conditions at {len(points)} points")
-    pair = witness_from_set(g, topo, to_topo, hit[0], "rational")
+        return OracleVerdict(True, f"rank conditions at {len(lam)} points")
+    pair = _oracle_witness(g, topo, to_topo, hit[0])
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
     return OracleVerdict(
         False, f"witness with separation {float(pair.separation):.3g}"
     )
+
+
+def _probe_points(topo: MixedGraph, key: tuple, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's float probe points as stacks ``(trials + 1, m, m)`` of Lambda and Omega.
+
+    Point 0 is Lambda = 0, Omega = I; point k + 1 is ``sample_parameters``
+    at the seed ``_seed_from_key(key) ^ k``.
+    """
+    base = _seed_from_key(key)
+    points = [(linalg.zeros(topo.m, topo.m, "float"), linalg.identity(topo.m, "float"))]
+    points += [sample_parameters(topo, base ^ k) for k in range(trials)]
+    lams, omegas = zip(*points)
+    return np.stack(lams), np.stack(omegas)
+
+
+def _oracle_witness(g: MixedGraph, topo: MixedGraph, to_topo: dict, a: tuple):
+    """``witness_from_set(g, topo, to_topo, a, "rational")`` on memoized skeleton points."""
+    skeleton, pos = witness._skeleton(topo, to_topo, a)
+    return witness._lifted_witness(g, pos, _skeleton_points(skeleton, "rational"))
 
 
 @dataclass

@@ -148,51 +148,56 @@ def witness_from_set(
     ``gt`` is ``g`` relabeled by ``to_topo`` (old -> new) into topological
     labels, and ``a`` is a violating set of ``gt``: its bidirected part is
     connected and every node reaches its largest node by a directed path
-    inside it. The construction works inside the induced subgraph
-    (arborescence + bidirected spanning tree), perturbs along the kernel of
-    the final step system, and zero-pads back to the full graph.
+    inside it. The construction works inside a skeleton of the induced
+    subgraph (arborescence + bidirected spanning tree, ``_skeleton``),
+    perturbs along the kernel of the final step system
+    (``_skeleton_points``), and zero-pads back to the full graph
+    (``_lifted_witness``).
+    """
+    skeleton, pos = _skeleton(gt, to_topo, a)
+    return _lifted_witness(g, pos, _skeleton_points(skeleton, backend))
+
+
+def _skeleton(gt: MixedGraph, to_topo: dict, a: tuple) -> tuple[MixedGraph, list[int]]:
+    """The skeleton of the violating set ``a`` of ``gt``, and where its nodes sit in ``g``.
+
+    The skeleton holds BFS trees toward the set's sink inside the induced
+    subgraph: a shortest-path arborescence and a bidirected spanning tree.
+    ``pos[k]`` is the 0-based index in ``g`` of skeleton node k + 1.
     """
     sub, back_to_topo = induced_subgraph(gt, a)
     mm = sub.m  # every node of the set is an ancestor of the sink, so the sink is last
-    n = mm - 1
-
-    # BFS trees toward the sink: a shortest-path arborescence and a spanning tree
     arb, tree = (_bfs(step, mm) for step in (sub.parents, sub.siblings))
     skeleton = MixedGraph(
         m=mm,
         directed={(v, w) for v, w in arb.items() if w is not None},
         bidirected={(v, w) for v, w in tree.items() if w is not None},
     )
+    to_orig = {new: old for old, new in to_topo.items()}
+    return skeleton, [to_orig[back_to_topo[k]] - 1 for k in range(1, mm + 1)]
 
+
+def _skeleton_points(skeleton: MixedGraph, backend: str) -> tuple[np.ndarray, ...]:
+    """(Lambda, Omega, Lambda_b, Omega_b): two points of the skeleton with equal covariance.
+
+    A pure function of the skeleton's edges and the backend; the arrays are
+    read-only, so callers may share them. Point a is the arborescence Lambda
+    and Laplacian Omega. Point b moves it along the kernel of the final step
+    system and takes omega_mm from the skeleton's covariance, halving the
+    step until Omega_b is positive definite.
+    """
+    mm = skeleton.m
+    n = mm - 1
     one = linalg.parse_entry(1, backend)
-    x = [one] * n
-    lam = build_arborescence_lambda(skeleton, x)  # x sets the backend
+    lam = build_arborescence_lambda(skeleton, [one] * n)  # the ones set the backend
     omega = build_laplacian_omega(skeleton)  # exact
     if backend == "float":
         omega = linalg.as_float(omega)
-
-    # lift points from the subgraph back to the full graph: zero Lambda and
-    # identity Omega off the subgraph's nodes
-    to_orig = {new: old for old, new in to_topo.items()}
-    pos = [to_orig[back_to_topo[k]] - 1 for k in range(1, mm + 1)]
-    block = np.ix_(pos, pos)
-
-    def lift(lam_s, omega_s):
-        lam_full = linalg.zeros(g.m, g.m, backend)
-        omega_full = linalg.identity(g.m, backend)
-        lam_full[block] = lam_s
-        omega_full[block] = omega_s
-        return lam_full, omega_full
-
-    point_a = lift(lam, omega)
-    sigma_a = phi(g, *point_a)
-    # point a keeps the subgraph apart from the other nodes, so its
-    # covariance over the subgraph is the skeleton's
-    sigma_sub = sigma_a[block]
+    inv = path_inverse(skeleton, lam)
+    sigma = linalg.congruence(inv, omega)
 
     # kernel direction of the final step system
     p, s = _step_indices(skeleton, n)
-    inv = path_inverse(skeleton, lam)
     alpha = linalg.to_array([1] * len(p), backend)
     beta = inv[:n, p] @ alpha
     d_omega = -(omega[:n, :n] @ beta)[s]
@@ -206,14 +211,37 @@ def witness_from_set(
         for k, col in enumerate(s):
             omega_b[col, n] = omega[col, n] + t * d_omega[k]
             omega_b[n, col] = omega_b[col, n]
-        omega_b[n, n] = _omega_remainder(sigma_sub, inv, lam_b[:n, n], omega_b[:n, n], n)
+        omega_b[n, n] = _omega_remainder(sigma, inv, lam_b[:n, n], omega_b[:n, n], n)
         if linalg.is_pd(omega_b):
             break
         t = t / 2
         if float(t) < 1e-8:
             raise PDPerturbationFailedError("perturbation step size underflowed")
+    points = (lam, omega, lam_b, omega_b)
+    for a in points:
+        a.flags.writeable = False
+    return points
 
-    point_b = lift(lam_b, omega_b)
+
+def _lifted_witness(g: MixedGraph, pos: list[int], points: tuple) -> WitnessPair:
+    """The skeleton's two points lifted to ``g`` and checked there.
+
+    Off the skeleton's nodes both points take zero Lambda and identity
+    Omega. ``phi`` checks each lifted point's support and positive
+    definiteness on ``g``; the residual and separation are taken on ``g``.
+    """
+    block = np.ix_(pos, pos)
+    backend = linalg.backend_of(points[0])
+
+    def lift(lam_s, omega_s):
+        lam_full = linalg.zeros(g.m, g.m, backend)
+        omega_full = linalg.identity(g.m, backend)
+        lam_full[block] = lam_s
+        omega_full[block] = omega_s
+        return lam_full, omega_full
+
+    point_a, point_b = lift(*points[:2]), lift(*points[2:])
+    sigma_a = phi(g, *point_a)
     sigma_b = phi(g, *point_b)
     residual = linalg.max_abs_diff(sigma_a, sigma_b)
     separation = max(

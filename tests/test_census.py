@@ -4,16 +4,19 @@ import hashlib
 import json
 import os
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semident.census
 import semident.criterion
+from semident import witness
 from semident.census import (
+    DEFAULT_TRIALS,
     OracleVerdict,
     canonical_form,
     census_report,
@@ -21,9 +24,11 @@ from semident.census import (
     injectivity_oracle,
 )
 from semident.cli import main
-from semident.criterion import check_global_identifiability
+from semident.criterion import check_global_identifiability, find_violating_set_exhaustive
 from semident.errors import SemidentError
-from semident.graphs import MixedGraph, is_simple, relabel
+from semident.graphs import MixedGraph, is_simple, relabel, relabel_topologically
+from semident.inversion import _step_records
+from semident.witness import construct_witness, witness_from_set
 
 
 def test_enumeration_counts_two_nodes():
@@ -311,3 +316,141 @@ def test_raising_oracle_is_a_disagreement_with_its_message(monkeypatch):
     reason = "oracle error: witness construction produced an invalid pair"
     assert report.disagreements == [(row.directed, row.bidirected, reason)]
     assert report.to_json()["disagreements"][0]["reason"] == reason
+
+
+@pytest.fixture(scope="module")
+def classes_up_to_four():
+    """(key, g, topo, to_topo, hit) for the first representative of every class on n <= 4.
+
+    ``topo`` is ``g`` relabeled topologically by ``to_topo``, and ``hit`` the
+    exhaustive scan's violating set of ``topo`` (None for an injective class).
+    """
+    out, seen = [], set()
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                topo, to_topo = relabel_topologically(g)
+                out.append((key, g, topo, to_topo, find_violating_set_exhaustive(topo)))
+    return out
+
+
+def _random_graphs(n, count, seed):
+    """``count`` acyclic mixed graphs on n nodes, each edge present with probability 1/2,
+    under a random labeling."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, n + 1), 2))
+    for _ in range(count):
+        perm = rng.sample(range(1, n + 1), n)
+        yield MixedGraph(
+            m=n,
+            directed={(perm[i - 1], perm[j - 1]) for i, j in pairs if rng.random() < 0.5},
+            bidirected={(perm[i - 1], perm[j - 1]) for i, j in pairs if rng.random() < 0.5},
+        )
+
+
+def _per_point_ranks_match_batched(topo, key):
+    lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
+    assert lam.shape == omega.shape == (DEFAULT_TRIALS + 1, topo.m, topo.m)
+    batched = [rec.rank.tolist() for rec in _step_records(topo, lam, omega)]
+    for k in range(len(lam)):
+        single = [rec.rank for rec in _step_records(topo, lam[k], omega[k])]
+        assert [ranks[k] for ranks in batched] == single
+
+
+def test_batched_probe_ranks_match_per_point_ranks(classes_up_to_four):
+    for key, _, topo, _, hit in classes_up_to_four:
+        if hit is None:
+            _per_point_ranks_match_batched(topo, key)
+    for g in _random_graphs(5, 200, seed=10):
+        _per_point_ranks_match_batched(relabel_topologically(g)[0], canonical_form(g))
+
+
+def test_probe_seeds_match_one_hash_per_probe(monkeypatch, classes_up_to_four):
+    seeds = []
+    sample = semident.census.sample_parameters
+
+    def recording(g, seed):
+        seeds.append(seed)
+        return sample(g, seed)
+
+    monkeypatch.setattr(semident.census, "sample_parameters", recording)
+    checked = 0
+    for key, g, _, _, hit in classes_up_to_four:
+        if hit is None and g.m == 4:
+            seeds.clear()
+            injectivity_oracle(g)
+            # the seed of probe k as it was once computed: one SHA-256 per probe
+            expected = [
+                int.from_bytes(hashlib.sha256(repr(key).encode()).digest()[:8], "big") ^ k
+                for k in range(DEFAULT_TRIALS)
+            ]
+            assert seeds == expected
+            checked += 1
+    assert checked == 190
+
+
+def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
+    g = MixedGraph(m=4, directed={(1, 2), (2, 3), (3, 4)})  # a chain: injective
+    key = canonical_form(g)
+    topo, _ = relabel_topologically(g)
+    base = semident.census._seed_from_key(key)
+    # probe 3 loses rank at step 3 only (omega_33 = 0), probe 6 already at step 1
+    degenerate = {
+        base ^ 3: (np.zeros((4, 4)), np.diag([1.0, 1.0, 0.0, 1.0])),
+        base ^ 6: (np.zeros((4, 4)), np.zeros((4, 4))),
+    }
+    sample = semident.census.sample_parameters
+    monkeypatch.setattr(
+        semident.census,
+        "sample_parameters",
+        lambda topo, seed: degenerate[seed] if seed in degenerate else sample(topo, seed),
+    )
+    # the oracle's loop before the points were stacked: point by point, step by step
+    lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
+    failures = [
+        rec.step
+        for k in range(len(lam))
+        for rec in _step_records(topo, lam[k], omega[k])
+        if not rec.passed
+    ]
+    assert failures == [3, 1, 2, 3]
+    with pytest.raises(SemidentError) as exc:
+        injectivity_oracle(g)
+    assert str(exc.value) == "subset scan says injective but rank fails at step 3"
+
+
+def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
+    checked = 0
+    for _, g, topo, to_topo, hit in classes_up_to_four:
+        if hit is None:
+            continue
+        pair = semident.census._oracle_witness(g, topo, to_topo, hit[0])
+        ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
+        for a, b in zip(
+            (*pair.point_a, *pair.point_b, pair.sigma), (*ref.point_a, *ref.point_b, ref.sigma)
+        ):
+            assert a.dtype == b.dtype == object
+            assert np.array_equal(a, b)
+        assert (pair.residual, pair.separation) == (ref.residual, ref.separation)
+        checked += 1
+    assert checked == 1403  # 1377 noninjective classes on four nodes, 26 on fewer
+
+
+def test_skeleton_memo_is_read_only_and_used_by_the_oracle_only(iv_graph):
+    memo = semident.census._skeleton_points
+    memo.cache_clear()
+    for backend in ("float", "rational"):
+        construct_witness(iv_graph, backend=backend)
+    assert memo.cache_info().currsize == 0
+    first = injectivity_oracle(iv_graph)
+    assert memo.cache_info().currsize == 1
+    assert injectivity_oracle(iv_graph) == first
+    assert memo.cache_info().hits == 1
+    topo, to_topo = relabel_topologically(iv_graph)
+    skeleton, _ = witness._skeleton(topo, to_topo, find_violating_set_exhaustive(topo)[0])
+    for a in memo(skeleton, "rational"):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0

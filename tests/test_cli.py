@@ -172,6 +172,28 @@ def test_trace_non_pd_omega_exit_2(capsys, tmp_path, backend):
     }
 
 
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize(
+    "edges, sigma, error",
+    [
+        # step 2 asks sigma_13 = sigma_12 * lambda_23 with sigma_12 = 0
+        ("1 -> 2\n2 -> 3\n", [[1, 0, 1], [0, 1, 0], [1, 0, 2]], "InconsistentSystemError"),
+        ("1 -> 2\n", [[1, 2], [2, 1]], "NotPositiveDefiniteError"),
+    ],
+    ids=["inconsistent", "not-pd"],
+)
+def test_trace_domain_errors_match_trace_schema(capsys, tmp_path, backend, edges, sigma, error):
+    graph = tmp_path / "g.graph"
+    graph.write_text(edges)
+    sigma_path = tmp_path / "sigma.json"
+    sigma_path.write_text(json.dumps(sigma))
+    code, out = _run(capsys, "trace", str(graph), str(sigma_path), "--backend", backend)
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"]["type"] == error
+    _validator("trace").validate(data)
+
+
 def test_invert_dimension_mismatch_exit_1(capsys, iv_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"labels": ["1", "2"], "entries": [[1, 0], [0, 1]]}))
