@@ -19,16 +19,18 @@ plus lambda_{k,i+1} times column k summed over the parents k in P(i), the
 path-sum recurrence of ``params.path_inverse``. No step inverts a matrix.
 
 ``fiber_trace`` runs the same two step functions as ``invert`` (one solve,
-one state update) on an exact ``Fraction`` copy of Sigma. Only when a step is
-rank deficient by one does it import sympy, follow the solution line in a
-parameter t through the later steps, and report the structure of the fiber.
+one state update). Only when a step is rank deficient by one does it follow
+the solution line in a parameter t through the later steps, exactly, in
+rational functions of t, and report the structure of the fiber.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import reduce
+from itertools import islice, zip_longest
 from typing import Callable
 
 import numpy as np
@@ -90,9 +92,10 @@ def _step_indices(g: MixedGraph, i: int) -> tuple[list[int], list[int]]:
 def _grow_inverse(inv, lam, i: int, p: list[int]) -> None:
     """Fill column i of (I - Lambda)^{-1} from the columns of its parents p.
 
-    Works on numpy and sympy matrices alike, and on numpy stacks that carry
-    their points on a trailing axis, ``(m, m, points)``. Only rows above i
-    change: under topological labels the inverse is unit upper triangular.
+    Works on float and object arrays, whose entries may be rational
+    functions of t, and on numpy stacks that carry their points on a
+    trailing axis, ``(m, m, points)``. Only rows above i change: under
+    topological labels the inverse is unit upper triangular.
     """
     for k in p:
         inv[:i, i] = inv[:i, i] + inv[:i, k] * lam[k, i]
@@ -244,185 +247,128 @@ class FiberDescription:
 
 
 def _exact_sigma(sigma: np.ndarray) -> np.ndarray:
-    if linalg.backend_of(sigma) == "rational":
-        return sigma
     # snap floats to nearby rationals; exact image membership is assumed
     snapped = [[Fraction(float(v)).limit_denominator(10**9) for v in row] for row in sigma]
     return linalg.to_array(snapped, "rational")
 
 
+def _unresolved(step: int, note: str) -> FiberDescription:
+    return FiberDescription("unresolved", [], deficient_step=step, note=note)
+
+
 def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
     """Describe the fiber of ``sigma`` under the forward map.
 
-    Runs the exact stepwise inversion of ``invert`` on ``sigma`` as a
-    ``Fraction`` matrix (float entries snap to nearby rationals). Without a
+    Runs the stepwise inversion of ``invert`` on ``sigma`` in its own
+    backend; a float step decides consistency as ``invert`` does. Without a
     rank-deficient step the fiber is the single recovered point, and, as in
     ``invert``, a recovered Omega that is not positive definite raises
-    ``NotPositiveDefiniteError`` (the fiber is empty). At the first
-    deficient step, deficiency two gives 'unresolved'; deficiency one
-    parametrizes the solution line by a scalar t, and only then is the rest
-    of the inversion followed symbolically (see ``_follow_line``).
+    ``NotPositiveDefiniteError`` (the fiber is empty). A float trace that
+    meets a deficient step starts over exactly, on ``sigma`` snapped to
+    nearby rationals. At the first deficient step, deficiency two gives
+    'unresolved'; deficiency one parametrizes the solution line by a scalar
+    t, and only then is the rest of the inversion followed in rational
+    functions of t (see ``_follow_line``).
     """
     _require_topological(g)
-    sig = _exact_sigma(sigma)
-    state = lam, omega, inv = _initial_state(sig)
+    state = lam, omega, inv = _initial_state(sigma)
+    scale = max(1.0, linalg.max_abs(sigma))
     for i in range(1, g.m):
         p, s = _step_indices(g, i)
-        res = _step_solve(sig, inv, p, s, i)
-        if res.solution is None:
+        res = _step_solve(sigma, inv, p, s, i)
+        # the rational solve reports an inconsistent system as residual inf
+        if res.residual > CONSISTENCY_REL_TOL * scale:
             raise InconsistentSystemError(i)
+        if res.nullspace and linalg.backend_of(sigma) == "float":
+            return fiber_trace(g, _exact_sigma(sigma))
         if len(res.nullspace) > 1:
-            return FiberDescription(
-                "unresolved", [], deficient_step=i, note="deficiency exceeds one"
-            )
+            return _unresolved(i, "deficiency exceeds one")
         if res.nullspace:
-            return _follow_line(g, sigma, sig, state, i, res)
-        _step_update(sig, state, p, s, i, res.solution)
+            return _follow_line(g, sigma, state, i, res)
+        _step_update(sigma, state, p, s, i, res.solution)
     _require_pd(omega)
     return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
 
 
-def _follow_line(g: MixedGraph, sigma, sig, state, deficient_step: int, res):
+def _follow_line(g: MixedGraph, sigma, state, deficient_step: int, res):
     """Follow the solution line of the deficiency-one step through the later steps.
 
     ``state`` is the exact (Lambda, Omega, (I - Lambda)^{-1}) of the steps
     before ``deficient_step``. From there on the entries are rational
-    functions of the line parameter t, held in sympy; every later step
-    contributes polynomial constraints on t. The real roots of their greatest
-    common divisor, intersected with positive definiteness of Omega(t), give
-    the fiber points. No surviving constraint means a one-parameter family; a
-    second deficient step gives 'unresolved'.
+    functions of the line parameter t (``_RatFun``), and every later step is
+    solved over Q(t); the residuals of its rows beyond the rank are
+    polynomial constraints on t. The real roots of their greatest common
+    divisor that are no pole of an entry, intersected with positive
+    definiteness of Omega(t), give the fiber points. No surviving constraint
+    means a one-parameter family; a second deficient step gives 'unresolved'.
     """
-    import sympy as sp
-
-    m = g.m
-    t = sp.Symbol("t")
-    sig, lam_s, omg_s, inv_s = (sp.Matrix(a) for a in (sig, *state))
-    kernel = res.nullspace[0]
+    lam, omega, inv = state
+    [kernel] = res.nullspace
     direction = _direction_dict(*_step_indices(g, deficient_step), kernel, deficient_step)
-    x = sp.Matrix(res.solution) + t * sp.Matrix(kernel)
-    constraints: list = []
-
-    for i in range(deficient_step, m):
+    x = res.solution + kernel * _RatFun((Fraction(0), Fraction(1)))
+    constraints = []
+    for i in range(deficient_step, g.m):
         p, s = _step_indices(g, i)
-        ginv = inv_s[:i, :i]
+        ginv = inv[:i, :i]
         # not Sigma's block: past a deficient step Omega(t) matches Sigma
         # only at the roots of the constraints
-        gtpg = (ginv.T * omg_s[:i, :i] * ginv).applyfunc(sp.cancel)
+        gram = ginv.T @ omega[:i, :i] @ ginv
         if i > deficient_step:
-            cols = [gtpg[:, c] for c in p] + [ginv[r, :].T for r in s]
-            a = sp.Matrix.hstack(*cols) if cols else sp.zeros(i, 0)
-            x, new_constraints, ok = _solve_later_phase(sp, a, sig[:i, i], a.shape[1], t)
-            if not ok:
-                return FiberDescription(
-                    "unresolved",
-                    [],
-                    deficient_step=deficient_step,
-                    note=f"second rank-deficient step at {i}",
-                )
-            constraints.extend(new_constraints)
+            x, residuals = _solve(np.concatenate([gram[:, p], ginv[s].T], axis=1), sigma[:i, i])
+            if x is None:
+                return _unresolved(deficient_step, f"second rank-deficient step at {i}")
+            constraints += [r.num for r in map(_lift, residuals) if r]
+        lam[p, i] = x[: len(p)]
+        omega[s, i] = omega[i, s] = x[len(p) :]
+        lamv, wv = lam[:i, i], omega[:i, i]
+        omega[i, i] = sigma[i, i] - lamv @ gram @ lamv - 2 * (wv @ ginv @ lamv)
+        _grow_inverse(inv, lam, i, p)
+        if max(_lift(e).degree for e in (*lam[:, i], *omega[:, i])) > MAX_DEGREE:
+            return _unresolved(deficient_step, "degree cap hit")
 
-        for idx, col in enumerate(p):
-            lam_s[col, i] = sp.cancel(x[idx])
-        for idx, col in enumerate(s):
-            omg_s[col, i] = sp.cancel(x[len(p) + idx])
-            omg_s[i, col] = omg_s[col, i]
-        lamv = lam_s[:i, i]
-        wv = omg_s[:i, i]
-        omg_s[i, i] = sp.cancel(
-            sig[i, i] - (lamv.T * gtpg * lamv)[0, 0] - 2 * (wv.T * ginv * lamv)[0, 0]
-        )
-        _grow_inverse(inv_s, lam_s, i, p)
-        inv_s[:i, i] = inv_s[:i, i].applyfunc(sp.cancel)
-        degs = [
-            _expr_degree(sp, e, t)
-            for e in list(lam_s[:, i]) + list(omg_s[:, i]) + [omg_s[i, i]]
-        ]
-        if max(degs, default=0) > MAX_DEGREE:
-            return FiberDescription(
-                "unresolved", [], deficient_step=deficient_step, note="degree cap hit"
-            )
-
-    constraints = [c for c in constraints if not c.is_zero]
+    poles = (Fraction(1),)  # the lcm of the entries' denominators
+    for den in {_lift(e).den for e in (*lam.flat, *omega.flat)}:
+        poles = _pmul(poles, _pdivmod(den, _pgcd(poles, den))[0])
+    poles = _squarefree(poles)
     if not constraints:
-        return _describe_family(sp, lam_s, omg_s, t, m, deficient_step, direction)
-
-    gcd_poly = constraints[0]
-    for c in constraints[1:]:
-        gcd_poly = sp.gcd(gcd_poly, c)
-    gcd_poly = sp.Poly(gcd_poly, t)
-    if gcd_poly.degree() == 0:
-        raise InconsistentSystemError(deficient_step)
-    coeffs = [float(c) for c in gcd_poly.all_coeffs()]
-    roots = np.roots(coeffs)
-    real_roots = sorted(r.real for r in roots if abs(r.imag) < 1e-8)
-
+        return _describe_family(lam, omega, poles, deficient_step, direction)
+    # a root of the constraints at a pole of an entry is no fiber point
+    f = _squarefree(reduce(_pgcd, constraints))
+    f = _pdivmod(f, _pgcd(f, poles))[0]
     scale = max(1.0, linalg.max_abs(sigma))
     points = []
-    for r in real_roots:
-        try:
-            lam_f, omg_f = _numeric_point(sp, lam_s, omg_s, t, r, m)
-        except (ZeroDivisionError, ValueError):
-            continue
-        if not linalg.is_pd(omg_f):
-            continue
+    for r in _real_roots(f):
+        lam_f, omg_f = (linalg.as_float(_value(a, r)) for a in (lam, omega))
         residual = linalg.max_abs_diff(phi(g, lam_f, omg_f), linalg.as_float(sigma))
-        if residual > 1e-9 * scale:
-            continue
-        if any(
-            linalg.max_abs_diff(lam_f, q[0]) < 1e-8
-            and linalg.max_abs_diff(omg_f, q[1]) < 1e-8
-            for q in points
-        ):
-            continue
-        points.append((lam_f, omg_f))
+        if linalg.is_pd(omg_f) and residual <= 1e-9 * scale:
+            points.append((lam_f, omg_f))
     if not points:
         raise InconsistentSystemError(deficient_step)
     kind = "singleton" if len(points) == 1 else "finite"
     return FiberDescription(kind, points, deficient_step=deficient_step)
 
 
-def _expr_degree(sp, expr, t) -> int:
-    num, den = sp.fraction(sp.cancel(expr))
-    return max(sp.degree(num, t), sp.degree(den, t)) if expr.has(t) else 0
+def _solve(a: np.ndarray, b: np.ndarray):
+    """Solve a x = b over Q(t) by Gauss-Jordan elimination.
 
-
-def _solve_later_phase(sp, a, b, k, t):
-    """Solve a step system with polynomial coefficients in t.
-
-    Returns (solution vector of rational functions, constraint polynomials,
-    ok flag). ok is False when the system is generically rank deficient
-    (a second deficient step).
+    Returns (x, residuals): ``residuals`` are the right-hand sides left in
+    the rows beyond the rank. x is None when a column has no pivot, i.e.
+    when a has generic rank below its column count.
     """
-    if k == 0:
-        cons = [sp.Poly(sp.together(-e), t) for e in b if sp.simplify(e) != 0]
-        return sp.zeros(0, 1), cons, True
-    t0 = sp.Rational(3, 7)  # generic probe point
-    a0 = a.subs(t, t0)
-    if a0.rank() < k:
-        # retry one more probe before declaring generic deficiency
-        a0 = a.subs(t, sp.Rational(11, 13))
-        if a0.rank() < k:
-            return None, [], False
-    # pick k generically independent rows via the probe's transpose pivots
-    _, piv = a0.T.rref()
-    rows = list(piv[:k])
-    a_sq = a[rows, :]
-    det_s = sp.cancel(a_sq.det())
-    adj = a_sq.adjugate()
-    b_sq = sp.Matrix([b[r] for r in rows])
-    x_num = (adj * b_sq).applyfunc(sp.cancel)
-    x = (x_num / det_s).applyfunc(sp.cancel)
-    constraints = []
-    for r in range(a.shape[0]):
-        if r in rows:
-            continue
-        expr = sp.cancel(sp.expand((a[r, :] * x_num)[0, 0] - b[r] * det_s))
-        num, _ = sp.fraction(sp.together(expr))
-        num = sp.expand(num)
-        if num != 0:
-            constraints.append(sp.Poly(num, t))
-    return x, constraints, True
+    k = a.shape[1]
+    rows = [[*row, v] for row, v in zip(a, b)]
+    for c in range(k):
+        r = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if r is None:
+            return None, []
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot, lead = rows[c], rows[c][c]
+        pivot[:] = [v / lead for v in pivot]
+        for row in rows:
+            if row is not pivot and row[c]:
+                f = row[c]
+                row[:] = [v - f * w for v, w in zip(row, pivot)]
+    return [row[k] for row in rows[:k]], [row[k] for row in rows[k:]]
 
 
 def _direction_dict(p, s, kernel, i) -> dict:
@@ -431,88 +377,201 @@ def _direction_dict(p, s, kernel, i) -> dict:
     return {"lambda": dlam, "omega": domg, "step": i}
 
 
-def _numeric_point(sp, lam_s, omg_s, t, tval, m):
-    """Float (Lambda, Omega) at t = tval; ZeroDivisionError at a pole of an entry."""
-    lam = np.zeros((m, m))
-    omg = np.zeros((m, m))
-    sub = {t: sp.Float(tval, 30)} if isinstance(tval, float) else {t: tval}
-    for num, sym in ((lam, lam_s), (omg, omg_s)):
-        for i in range(m):
-            for j in range(m):
-                if sym[i, j] != 0:
-                    v = sym[i, j].subs(sub)
-                    if not v.is_finite:
-                        raise ZeroDivisionError(f"pole of entry ({i + 1},{j + 1}) at t = {tval}")
-                    num[i, j] = float(v)
-    omg = (omg + omg.T) / 2
-    return lam, omg
+def _value(a: np.ndarray, t: Fraction) -> np.ndarray:
+    """The exact matrix a at t; ZeroDivisionError at a pole of an entry."""
+    return np.array([[_lift(e)(t) for e in row] for row in a], dtype=object)
 
 
-def _describe_family(sp, lam_s, omg_s, t, m, deficient_step, direction):
-    """Locate the open PD interval of Omega(t) and package the family."""
-    breakpoints: set[float] = set()
-    denominators = []
-    for i in range(m):
-        for j in range(m):
-            for e in (lam_s[i, j], omg_s[i, j]):
-                if e != 0 and e.has(t):
-                    _, den = sp.fraction(sp.together(e))
-                    if den.has(t):
-                        denominators.append(den)
-    for k in range(1, m + 1):
-        minor = sp.cancel(omg_s[:k, :k].det())
-        num, den = sp.fraction(sp.together(minor))
-        for poly_expr in (num, den):
-            if poly_expr.has(t):
-                denominators.append(poly_expr)
-    for expr in denominators:
-        try:
-            coeffs = [float(c) for c in sp.Poly(sp.expand(expr), t).all_coeffs()]
-        except sp.PolynomialError:
-            continue
-        if len(coeffs) > 1:
-            for r in np.roots(coeffs):
-                if abs(r.imag) < 1e-8:
-                    breakpoints.add(float(r.real))
-    marks = sorted(breakpoints)
+def _describe_family(lam, omega, poles, deficient_step, direction):
+    """Locate the open PD interval of Omega(t) and package the family.
 
-    def pd_at(tv: float) -> bool:
-        try:
-            _, om = _numeric_point(sp, lam_s, omg_s, t, tv, m)
-        except (ZeroDivisionError, ValueError):
-            return False
-        return linalg.is_pd(om)
-
+    Every point of the family maps to Sigma, so det Omega(t) = det Sigma for
+    all t: Omega(t) can change definiteness only at a pole, and one exact
+    test at a sample point decides each interval between poles.
+    """
+    edges = [-math.inf, *_real_roots(poles), math.inf]
     intervals = []
-    edges = [-np.inf] + marks + [np.inf]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo == hi:
-            continue
-        if np.isinf(lo) and np.isinf(hi):
-            mid = 0.0
-        elif np.isinf(lo):
-            mid = hi - 1.0
-        elif np.isinf(hi):
-            mid = lo + 1.0
+    for lo, hi in zip(edges, edges[1:]):
+        # the base point too: t = 0 when the interval holds it
+        if lo < 0 < hi:
+            mid = 0
         else:
-            mid = (lo + hi) / 2
-        if pd_at(mid):
+            mid = hi - 1 if lo == -math.inf else lo + 1 if hi == math.inf else (lo + hi) / 2
+        if linalg.is_pd(_value(omega, mid)):
             intervals.append((lo, hi, mid))
     if not intervals:
         raise UnresolvedFiberError("no PD interval found for the family")
-    chosen = next((iv for iv in intervals if iv[0] < 0.0 < iv[1] and pd_at(0.0)), intervals[0])
-    lo, hi, mid = chosen
-    t0 = 0.0 if lo < 0.0 < hi and pd_at(0.0) else mid
+    lo, hi, t0 = next((iv for iv in intervals if iv[0] < 0 < iv[1]), intervals[0])
 
     def evaluate(tv: float):
-        return _numeric_point(sp, lam_s, omg_s, t, float(tv), m)
+        return tuple(linalg.as_float(_value(a, Fraction(tv))) for a in (lam, omega))
 
-    base_point = evaluate(t0)
-    return FiberDescription(
-        "family",
-        [],
-        family=FiberFamily(
-            base=base_point, direction=direction, interval=(lo, hi), evaluate=evaluate
-        ),
-        deficient_step=deficient_step,
-    )
+    family = FiberFamily(evaluate(t0), direction, (float(lo), float(hi)), evaluate)
+    return FiberDescription("family", [], family=family, deficient_step=deficient_step)
+
+
+# -- polynomials and rational functions in t ------------------------------
+# A polynomial is a tuple of Fraction coefficients, constant term first, with
+# no trailing zeros; () is the zero polynomial. Integer coefficients must not
+# get in: int / int is a float, and on floats a remainder that should vanish
+# keeps rounding residue, so Euclid's algorithm returns a wrong gcd.
+
+
+def _trim(c) -> tuple:
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        q.append(f)
+        for j, y in enumerate(b[:-1], len(r) - len(b)):
+            r[j] -= f * y
+        r.pop()
+    return tuple(reversed(q)), _trim(r)
+
+
+def _monic(a: tuple) -> tuple:
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _pgcd(a: tuple, b: tuple) -> tuple:
+    """The monic greatest common divisor, by Euclid's algorithm."""
+    while b:
+        a, b = b, _monic(_pdivmod(a, b)[1])
+    return _monic(a)
+
+
+def _peval(a: tuple, t: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in reversed(a):
+        v = v * t + c
+    return v
+
+
+def _derivative(a: tuple) -> tuple:
+    return tuple(k * c for k, c in enumerate(a))[1:]
+
+
+def _squarefree(a: tuple) -> tuple:
+    return _pdivmod(a, _pgcd(a, _derivative(a)))[0]
+
+
+def _real_roots(f: tuple) -> list[Fraction]:
+    """The real roots of a squarefree polynomial, sorted, by Sturm bisection.
+
+    A rational root comes back exactly; any other root as a rational within
+    2**-64 * max(1, |root|) of it.
+    """
+    if len(f) < 2:
+        return []
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        seq.append(tuple(-c for c in _pdivmod(seq[-2], seq[-1])[1]))
+
+    def changes(t: Fraction) -> int:
+        signs = [v > 0 for v in (_peval(p, t) for p in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # a rational root p/q of f has q | den, and all roots lie in (-bound, bound)
+    den = math.lcm(*(c.denominator for c in _monic(f)))
+    bound = Fraction(2 + int(max(map(abs, f)) / abs(f[-1])))
+    roots, todo = [], [(-bound, bound, changes(-bound), changes(bound))]
+    while todo:
+        lo, hi, vlo, vhi = todo.pop()
+        mid = (lo + hi) / 2
+        if vlo - vhi == 1 and (hi - lo) * 2**64 <= max(1, abs(lo), abs(hi)):
+            exact = Fraction(round(mid * den), den)
+            roots.append(exact if lo < exact <= hi and not _peval(f, exact) else mid)
+        elif vlo > vhi:
+            vmid = changes(mid)
+            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(roots)
+
+
+class _RatFun:
+    """A rational function num(t) / den(t) in lowest terms with den monic.
+
+    Mixes with ``Fraction`` in + - * /, so numpy object arrays, ``@`` and
+    ``_grow_inverse`` run on it. A product with a constant, and a sum with a
+    polynomial, are in lowest terms already and skip the gcd.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple = (Fraction(1),), cancel: bool = False):
+        if cancel and num and len(den) > 1:
+            g = _pgcd(num, den)
+            num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+        lead = den[-1]
+        if lead != 1:
+            num, den = tuple(c / lead for c in num), tuple(c / lead for c in den)
+        self.num, self.den = num, den if num else (Fraction(1),)
+
+    @property
+    def degree(self) -> int:
+        return max(len(self.num), len(self.den)) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __call__(self, t: Fraction) -> Fraction:
+        return _peval(self.num, t) / _peval(self.den, t)
+
+    def __add__(self, other):
+        a, b = sorted((self, _lift(other)), key=lambda e: len(e.den))
+        if not a.num or not b.num:
+            return a if a.num else b
+        if len(a.den) == 1:
+            return _RatFun(_padd(b.num, _pmul(a.num, b.den)), b.den)
+        return _RatFun(
+            _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den), cancel=True
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rsub__(self, other):
+        return -1 * self + other
+
+    def __mul__(self, other):
+        a, b = sorted((self, _lift(other)), key=lambda e: len(e.num) + len(e.den))
+        if not a.num:
+            return a
+        if len(a.num) + len(a.den) == 2:
+            return _RatFun(tuple(a.num[0] * c for c in b.num), b.den)
+        return _RatFun(_pmul(a.num, b.num), _pmul(a.den, b.den), cancel=True)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _lift(other)
+        return self * _RatFun(other.den, other.num)
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+
+def _lift(x) -> _RatFun:
+    """x as a ``_RatFun``; ``Fraction`` and int constants become constant functions."""
+    return x if isinstance(x, _RatFun) else _RatFun((Fraction(x),) if x else ())

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semident
 from semident import linalg
@@ -22,7 +24,14 @@ from semident.errors import (
     SemidentError,
 )
 from semident.graphs import MixedGraph
-from semident.inversion import _step_records, fiber_trace, invert, rank_condition
+from semident.inversion import (
+    _pmul,
+    _real_roots,
+    _step_records,
+    fiber_trace,
+    invert,
+    rank_condition,
+)
 from semident.params import i_minus_lambda_inv, phi, sample_parameters
 
 
@@ -197,8 +206,8 @@ def test_fiber_becomes_family(spiked_chain_graph, spiked_chain_point):
 
 
 def test_fiber_family_scan_steps_over_a_pole():
-    # the PD scan probes t = -0.586..., a double root of an entry's
-    # denominator, where the entry evaluates to complex infinity
+    # t = -0.586..., a double root of an entry's denominator, is a pole
+    # and so an end of the interval
     g = MixedGraph(m=4, directed={(1, 2), (2, 3)}, bidirected={(1, 2), (1, 3), (3, 4)})
     sigma = phi(g, *sample_parameters(g, 17, backend="rational"))
     desc = fiber_trace(g, sigma)
@@ -213,21 +222,92 @@ def test_fiber_family_scan_steps_over_a_pole():
         assert linalg.max_abs_diff(phi(g, lam_t, omega_t), linalg.as_float(sigma)) <= 1e-9
 
 
-def test_singleton_trace_leaves_sympy_unimported():
-    # sympy is imported only once a trace meets a rank-deficient step
+def test_fiber_family_interval_ends_at_an_exact_double_pole():
+    # the pole -444/589 of an entry is a double root of a leading minor's
+    # denominator; a float root finder splits it into two nearby roots
+    g = MixedGraph(m=4, directed={(1, 3), (2, 3), (3, 4)}, bidirected={(1, 4), (2, 3), (2, 4)})
+    desc = fiber_trace(g, phi(g, *sample_parameters(g, 2716, backend="rational")))
+    assert (desc.kind, desc.deficient_step) == ("family", 2)
+    assert desc.family.interval == (float(Fraction(-444, 589)), np.inf)
+
+
+def test_fiber_finite_two_points():
+    g = MixedGraph(m=4, directed={(1, 2), (1, 3), (1, 4)}, bidirected={(1, 2), (1, 3), (1, 4)})
+    sigma = phi(g, *sample_parameters(g, 455, backend="rational"))
+    desc = fiber_trace(g, sigma)
+    assert (desc.kind, desc.deficient_step, desc.note) == ("finite", 1, "")
+    expected = [
+        (-3.625, 2.0, -0.375),
+        (-4.139285714285714, 1.8285714285714285, -1.2321428571428572),
+    ]
+    assert [tuple(lam[0, 1:]) for lam, _ in desc.points] == pytest.approx(expected, abs=1e-12)
+    for lam, omega in desc.points:
+        assert linalg.is_pd(omega)
+        assert linalg.max_abs_diff(phi(g, lam, omega), linalg.as_float(sigma)) <= 1e-9
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_SMALL_RATIONALS, max_size=5, unique=True),
+    st.lists(st.fractions(min_value=0, max_value=20, max_denominator=50), max_size=2, unique=True),
+    st.booleans(),
+)
+def test_real_roots_are_exact_when_rational_and_within_width_otherwise(roots, squares, sqrt2):
+    # (t - r) for each root, t^2 + c with c > 0 (no real root), and t^2 - 2
+    factors = [(-r, Fraction(1)) for r in roots]
+    factors += [(c + Fraction(1, 7), Fraction(0), Fraction(1)) for c in squares]
+    factors += [(Fraction(-2), Fraction(0), Fraction(1))] * sqrt2
+    f = (Fraction(1),)
+    for factor in factors:
+        f = _pmul(f, factor)
+    found = _real_roots(f)
+    assert found == sorted(found)
+    assert [r for r in found if r in roots] == sorted(roots)
+    irrational = [r for r in found if r not in roots]
+    assert len(irrational) == 2 * sqrt2
+    for r in irrational:
+        # r is within w of the root +-sqrt(2): (|r| - w)^2 < 2 < (|r| + w)^2
+        w = max(1, abs(r)) / 2**64
+        assert (abs(r) - w) ** 2 < 2 < (abs(r) + w) ** 2
+
+
+def test_float_trace_of_chain_is_the_inverted_point_bit_for_bit():
+    # three equations for two unknowns at step 2: decided with invert's
+    # tolerance, not on a snapped rational copy that misses the image
+    g = MixedGraph(m=3, directed={(1, 2), (2, 3)})
+    sigma = phi(g, *sample_parameters(g, 3))
+    desc = fiber_trace(g, sigma)
+    assert (desc.kind, desc.deficient_step) == ("singleton", None)
+    [(lam_t, omega_t)] = desc.points
+    lam, omega = invert(g, sigma)
+    assert lam_t.tobytes() == lam.tobytes()
+    assert omega_t.tobytes() == omega.tobytes()
+
+
+def test_traces_of_every_kind_leave_sympy_unimported():
+    # the exact fiber trace needs numpy and fractions only
     script = "\n".join(
         [
             "import sys",
             "from semident.graphs import MixedGraph",
             "from semident.inversion import fiber_trace",
             "from semident.params import phi, sample_parameters",
-            # square step systems: a float Sigma snaps to a point of the image
+            "def trace(d, b, seed, backend='rational'):",
+            "    g = MixedGraph(m=max(max(e) for e in d | b), directed=d, bidirected=b)",
+            "    desc = fiber_trace(g, phi(g, *sample_parameters(g, seed, backend=backend)))",
+            "    assert 'sympy' not in sys.modules, desc.kind",
+            "    return desc.kind, desc.deficient_step",
             "d = {(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)}",
-            "g = MixedGraph(m=4, directed=d, bidirected={(3, 4)})",
             "for backend in ('float', 'rational'):",
-            "    sigma = phi(g, *sample_parameters(g, 3, backend=backend))",
-            "    desc = fiber_trace(g, sigma)",
-            "    assert (desc.kind, desc.deficient_step) == ('singleton', None)",
+            "    assert trace(d, {(3, 4)}, 3, backend) == ('singleton', None)",
+            "assert trace({(1, 2), (2, 3)}, {(1, 2), (1, 3), (3, 4)}, 17) == ('family', 1)",
+            "star = {(1, 2), (1, 3), (1, 4)}",
+            "assert trace(star, star, 455) == ('finite', 1)",
+            "full = {(1, 2), (1, 3), (2, 3)}",
+            "assert trace(full, full, 63) == ('unresolved', 1)",
             "print('sympy' in sys.modules)",
         ]
     )
