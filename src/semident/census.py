@@ -1,6 +1,6 @@
 """Exhaustive small-graph census with independent cross-validation.
 
-Enumerates every acyclic mixed graph on up to six nodes (directed parts as
+Enumerates every acyclic mixed graph on up to five nodes (directed parts as
 upper-triangular DAG representatives) and classifies identifiability with
 the fixpoint criterion on every representative. Every representative's
 verdict must agree with the verdict of its isomorphism class. Injectivity is
@@ -8,7 +8,8 @@ invariant under relabelling, so each class is then checked once against an
 oracle built from the exhaustive induced-subgraph scan, random-point rank
 conditions and an explicit witness built on the scan's own violating set.
 The oracle shares nothing with the fixpoint search. Any disagreement is a
-build-failing event.
+build-failing event. ``enumerate_graphs`` and ``canonical_form`` also go to
+six nodes; ``census_report`` and the oracle stop at five.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import numpy as np
 
 from . import linalg, witness
 from .criterion import check_global_identifiability, find_violating_set_exhaustive
-from .errors import SemidentError
+from .errors import SemidentError, SupportViolationError
 from .graphs import MixedGraph, is_simple, relabel_topologically
 from .inversion import _step_records
-from .params import sample_parameters
+from .params import phi, sample_parameters
 
 #: hard cap on census node counts
 MAX_N = 6
@@ -134,10 +135,37 @@ def _seed_from_key(key: tuple) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: the oracle's witness points per skeleton: a pure function of its edges,
-#: so isomorphism classes that share a skeleton share the exact arithmetic.
-#: Read-only arrays; at most a few thousand entries, since m <= 5.
-_skeleton_points = cache(witness._skeleton_points)
+class SkeletonWitness(NamedTuple):
+    """The oracle's witness pair on one skeleton, checked on the skeleton itself.
+
+    ``points`` are ``witness._skeleton_points(skeleton, "rational")``
+    (read-only), ``sigma`` is the read-only covariance of the first point,
+    and ``residual`` and ``separation`` are the pair's exact max-norm
+    differences of covariance and of parameters.
+    """
+
+    points: tuple
+    sigma: np.ndarray
+    residual: float
+    separation: float
+
+
+@cache
+def _skeleton_witness(skeleton: MixedGraph) -> SkeletonWitness:
+    """The memoized witness check of one skeleton, shared by every class that has it.
+
+    ``phi`` checks each point's support, symmetry and positive definiteness
+    on the skeleton. A pure function of the skeleton's edges; at most a few
+    thousand entries per process, since m <= 5.
+    """
+    points = witness._skeleton_points(skeleton, "rational")
+    sigma_a = phi(skeleton, *points[:2])
+    sigma_b = phi(skeleton, *points[2:])
+    sigma_a.flags.writeable = False
+    separation = max(
+        linalg.max_abs_diff(points[0], points[2]), linalg.max_abs_diff(points[1], points[3])
+    )
+    return SkeletonWitness(points, sigma_a, linalg.max_abs_diff(sigma_a, sigma_b), separation)
 
 
 @dataclass
@@ -155,9 +183,10 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
     by rank conditions at Lambda = 0, Omega = I and at ``trials`` random
     parameter points: the points are stacked and walk the inversion steps
     together, one batched rank decision per step. A noninjective answer is
-    backed by an explicit witness pair built inside the set the scan found
-    and verified on ``g`` itself; the pair's two skeleton points are
-    memoized per skeleton within the process (see ``_oracle_witness``).
+    backed by an explicit witness pair built inside the set the scan found:
+    the pair and its exact check are memoized per skeleton within the
+    process, and each class checks that the skeleton's edges map onto its
+    own (see ``_oracle_witness``).
     Internal failures raise rather than silently passing.
     """
     if g.m > 5:
@@ -195,10 +224,29 @@ def _probe_points(topo: MixedGraph, key: tuple, trials: int) -> tuple[np.ndarray
     return np.stack(lams), np.stack(omegas)
 
 
-def _oracle_witness(g: MixedGraph, topo: MixedGraph, to_topo: dict, a: tuple):
-    """``witness_from_set(g, topo, to_topo, a, "rational")`` on memoized skeleton points."""
+def _oracle_witness(g: MixedGraph, topo: MixedGraph, to_topo: dict, a: tuple) -> SkeletonWitness:
+    """The memoized skeleton check of ``witness_from_set(g, topo, to_topo, a, "rational")``.
+
+    Off the skeleton the lifted points take Lambda = 0 and Omega = I, so the
+    lifted I - Lambda is a permuted block diagonal diag(I - Lambda_s, I):
+    the covariance on ``g`` is the skeleton's embedded in an identity, the
+    lifted Omega is positive definite exactly when the skeleton's is, and
+    residual and separation are the skeleton's. What is left to check on
+    ``g`` is support: every skeleton edge must map onto an edge of ``g`` of
+    the same kind, or ``SupportViolationError`` is raised.
+    """
     skeleton, pos = witness._skeleton(topo, to_topo, a)
-    return witness._lifted_witness(g, pos, _skeleton_points(skeleton, "rational"))
+    for kind, edges, has_edge in (
+        ("->", skeleton.directed, g.has_directed),
+        ("<->", skeleton.bidirected, g.has_bidirected),
+    ):
+        for v, w in edges:
+            i, j = pos[v - 1] + 1, pos[w - 1] + 1
+            if not has_edge(i, j):
+                raise SupportViolationError(
+                    f"skeleton edge {v}{kind}{w} maps to {i}{kind}{j}, not an edge of the graph"
+                )
+    return _skeleton_witness(skeleton)
 
 
 @dataclass

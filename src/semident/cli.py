@@ -20,7 +20,12 @@ from . import linalg
 from .census import census_report
 from .criterion import check_global_identifiability
 from .cycles import CycleParams, cycle_fiber
-from .errors import GraphParseError, SemidentError
+from .errors import (
+    GraphParseError,
+    InconsistentSystemError,
+    RankDeficientStepError,
+    SemidentError,
+)
 from .graphs import load_graph
 from .inversion import fiber_trace, invert
 from .params import matrix_from_json, matrix_to_json, phi, sample_parameters
@@ -263,8 +268,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"semident: error: {exc}", file=sys.stderr)
         return 1
     except SemidentError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        _emit({"error": _error_json(exc)})
         return 2
+
+
+def _error_json(exc: SemidentError) -> dict:
+    """The error object of a domain error; an inversion step error adds its step
+    and, when it is a finite number, its residual."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, (RankDeficientStepError, InconsistentSystemError)):
+        error["step"] = exc.step
+        residual = getattr(exc, "residual", None)
+        if residual is not None and math.isfinite(residual):
+            error["residual"] = residual
+    return error
 
 
 if __name__ == "__main__":

@@ -211,9 +211,12 @@ def relabel(g: MixedGraph, new_label: dict) -> MixedGraph:
 def relabel_topologically(g: MixedGraph) -> tuple[MixedGraph, dict]:
     """Relabel nodes so every directed edge goes from lower to higher label.
 
-    Returns (relabeled graph, mapping old -> new). Idempotent on graphs that
-    already carry topological labels (ties broken by original label).
+    Returns (relabeled graph, mapping old -> new). Ties are broken by
+    original label, so a graph that already carries topological labels comes
+    back itself (graphs are frozen) with the identity mapping.
     """
+    if all(i < j for i, j in g.directed):
+        return g, {v: v for v in g.nodes}
     order = topological_order(g)
     mapping = {old: pos + 1 for pos, old in enumerate(order)}
     return relabel(g, mapping), mapping

@@ -173,13 +173,13 @@ def sample_parameters(
     if not math.isfinite(scale):
         raise SemidentError(f"scale must be finite, got {scale}")
     rng = random.Random(seed)
+    if backend == "float":
+        return _sample_float(g, rng, scale)
 
     def draw():
-        if backend == "rational":
-            num = rng.randint(-8 * 4, 8 * 4)
-            val = Fraction(num, 8)
-            return val * Fraction(scale).limit_denominator(10**6)
-        return rng.uniform(-scale, scale)
+        num = rng.randint(-8 * 4, 8 * 4)
+        val = Fraction(num, 8)
+        return val * Fraction(scale).limit_denominator(10**6)
 
     lam = linalg.zeros(g.m, g.m, backend)
     for i, j in sorted(g.directed):
@@ -194,6 +194,26 @@ def sample_parameters(
         row_sum = sum(abs(omega[i, j]) for j in range(g.m) if j != i)
         omega[i, i] = row_sum + one
     return lam, omega
+
+
+def _sample_float(g: MixedGraph, rng: random.Random, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_parameters``' float draw, into flat lists; each array is built once.
+
+    One ``rng.uniform`` per directed edge, then one per bidirected edge, each
+    in sorted order; a diagonal entry is its row's absolute sum, taken in
+    column order, plus one.
+    """
+    m = g.m
+    lam, omega, row_sum = [0.0] * (m * m), [0.0] * (m * m), [0.0] * m
+    for i, j in sorted(g.directed):
+        lam[(i - 1) * m + j - 1] = rng.uniform(-scale, scale)
+    for i, j in sorted(g.bidirected):
+        v = omega[(i - 1) * m + j - 1] = omega[(j - 1) * m + i - 1] = rng.uniform(-scale, scale)
+        # in sorted pair order every row meets its columns in ascending order
+        row_sum[i - 1] += abs(v)
+        row_sum[j - 1] += abs(v)
+    omega[:: m + 1] = [r + 1.0 for r in row_sum]
+    return np.array(lam).reshape(m, m), np.array(omega).reshape(m, m)
 
 
 # -- serialization -----------------------------------------------------

@@ -229,6 +229,9 @@ def _lifted_witness(g: MixedGraph, pos: list[int], points: tuple) -> WitnessPair
     Off the skeleton's nodes both points take zero Lambda and identity
     Omega. ``phi`` checks each lifted point's support and positive
     definiteness on ``g``; the residual and separation are taken on ``g``.
+    The census oracle checks the same thing once per skeleton instead
+    (``census._oracle_witness``): the lifted covariance is the skeleton's
+    embedded in an identity, so only the support on ``g`` is left per graph.
     """
     block = np.ix_(pos, pos)
     backend = linalg.backend_of(points[0])

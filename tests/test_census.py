@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import semident.census
 import semident.criterion
-from semident import witness
+from semident import linalg, witness
 from semident.census import (
     DEFAULT_TRIALS,
     OracleVerdict,
@@ -25,7 +25,7 @@ from semident.census import (
 )
 from semident.cli import main
 from semident.criterion import check_global_identifiability, find_violating_set_exhaustive
-from semident.errors import SemidentError
+from semident.errors import SemidentError, SupportViolationError
 from semident.graphs import MixedGraph, is_simple, relabel, relabel_topologically
 from semident.inversion import _step_records
 from semident.witness import construct_witness, witness_from_set
@@ -174,6 +174,25 @@ def test_census_report_four_nodes_matches_pinned_digest():
     report = census_report(4)
     text = report.to_csv() + json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_N4_SHA256
+
+
+#: SHA-256 of ``census_report(5)``'s CSV.
+CENSUS_N5_CSV_SHA256 = "0ab69774b5af12b14e7458ed70f5d84154dc895bdd838df402090518cb151ea8"
+
+
+@pytest.mark.slow
+def test_census_report_five_nodes():
+    # about three minutes serially; deselected by default, run with ``pytest -m slow``
+    report = census_report(5)
+    assert report.disagreements == []
+    assert report.unlabeled_total == 256_190
+    assert report.unlabeled_count(identifiable=True) == 6_721
+    assert report.unlabeled_count(simple=True, identifiable=True) == 6_721
+    assert report.unlabeled_count(identifiable=False) == 249_469
+    assert report.unlabeled_count(simple=True, identifiable=False) == 396
+    # labeled acyclic mixed graphs: labeled DAGs on five nodes (OEIS A003024) x 2^C(5,2)
+    assert report.labeled_total == 29_281 * 2**10 == 29_983_744
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == CENSUS_N5_CSV_SHA256
 
 
 def test_census_report_parallel_matches_serial():
@@ -421,36 +440,92 @@ def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
     assert str(exc.value) == "subset scan says injective but rank fails at step 3"
 
 
+def _lift(m, pos, a, fill):
+    """``a`` at the rows and columns ``pos`` of an m x m rational ``fill`` (zero or identity)."""
+    out = linalg.identity(m, "rational") if fill == "identity" else linalg.zeros(m, m, "rational")
+    out[np.ix_(pos, pos)] = a
+    return out
+
+
 def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
-    checked = 0
-    for _, g, topo, to_topo, hit in classes_up_to_four:
-        if hit is None:
-            continue
-        pair = semident.census._oracle_witness(g, topo, to_topo, hit[0])
+    noninjective = [
+        (g, topo, to_topo, hit)
+        for _, g, topo, to_topo, hit in classes_up_to_four
+        if hit is not None
+    ]
+    assert len(noninjective) == 1403  # 1377 noninjective classes on four nodes, 26 on fewer
+    for g in _random_graphs(5, 200, seed=11):
+        topo, to_topo = relabel_topologically(g)
+        hit = find_violating_set_exhaustive(topo)
+        if hit is not None:
+            noninjective.append((g, topo, to_topo, hit))
+    assert len(noninjective) > 1403 + 150
+    for g, topo, to_topo, hit in noninjective:
+        check = semident.census._oracle_witness(g, topo, to_topo, hit[0])
         ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
-        for a, b in zip(
-            (*pair.point_a, *pair.point_b, pair.sigma), (*ref.point_a, *ref.point_b, ref.sigma)
-        ):
+        assert (check.residual, check.separation) == (ref.residual, ref.separation)
+        assert check.residual == 0 and check.separation != 0
+        # off the skeleton Lambda = 0 and Omega = I, and Sigma is the skeleton's in an identity
+        _, pos = witness._skeleton(topo, to_topo, hit[0])
+        lam_a, omega_a, lam_b, omega_b = check.points
+        lifted = (
+            _lift(g.m, pos, lam_a, "zeros"),
+            _lift(g.m, pos, omega_a, "identity"),
+            _lift(g.m, pos, lam_b, "zeros"),
+            _lift(g.m, pos, omega_b, "identity"),
+            _lift(g.m, pos, check.sigma, "identity"),
+        )
+        for a, b in zip(lifted, (*ref.point_a, *ref.point_b, ref.sigma)):
             assert a.dtype == b.dtype == object
             assert np.array_equal(a, b)
-        assert (pair.residual, pair.separation) == (ref.residual, ref.separation)
-        checked += 1
-    assert checked == 1403  # 1377 noninjective classes on four nodes, 26 on fewer
+            assert all(type(x) is type(y) for x, y in zip(a.flat, b.flat))
+
+
+def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(iv_graph):
+    topo, to_topo = relabel_topologically(iv_graph)
+    (a, _) = find_violating_set_exhaustive(topo)
+    without_bow = MixedGraph(m=3, directed={(1, 2)}, bidirected={(2, 3)})
+    with pytest.raises(SupportViolationError, match="skeleton edge 1->2 maps to 2->3, not an edge"):
+        semident.census._oracle_witness(without_bow, topo, to_topo, a)
+    without_sibling = MixedGraph(m=3, directed={(1, 2), (2, 3)})
+    with pytest.raises(SupportViolationError, match="edge 1<->2 maps to 2<->3, not an edge"):
+        semident.census._oracle_witness(without_sibling, topo, to_topo, a)
+
+
+def test_skeleton_edge_off_the_graph_is_an_oracle_error_in_the_census(monkeypatch, iv_graph):
+    target = canonical_form(iv_graph)
+    skeleton_of = witness._skeleton
+
+    def reversed_positions(topo, to_topo, a):
+        skeleton, pos = skeleton_of(topo, to_topo, a)
+        return skeleton, pos[::-1] if canonical_form(topo) == target else pos
+
+    monkeypatch.setattr(witness, "_skeleton", reversed_positions)
+    report = census_report(3, trials=1)
+    (row,) = [r for r in report.rows if r.key == target]
+    (item,) = report.disagreements
+    assert item[:2] == (row.directed, row.bidirected)
+    assert item.reason.startswith("oracle error: skeleton edge 1->2 maps to ")
+    assert item.reason.endswith(", not an edge of the graph")
 
 
 def test_skeleton_memo_is_read_only_and_used_by_the_oracle_only(iv_graph):
-    memo = semident.census._skeleton_points
+    memo = semident.census._skeleton_witness
     memo.cache_clear()
     for backend in ("float", "rational"):
         construct_witness(iv_graph, backend=backend)
     assert memo.cache_info().currsize == 0
     first = injectivity_oracle(iv_graph)
-    assert memo.cache_info().currsize == 1
+    assert memo.cache_info()[:2] == (0, 1)  # hits, misses
     assert injectivity_oracle(iv_graph) == first
-    assert memo.cache_info().hits == 1
+    assert memo.cache_info()[:2] == (1, 1)
+    # a relabelled copy has the same skeleton, and the census shares it
+    assert injectivity_oracle(relabel(iv_graph, {1: 3, 2: 1, 3: 2})) == first
+    assert memo.cache_info()[:2] == (2, 1)
     topo, to_topo = relabel_topologically(iv_graph)
     skeleton, _ = witness._skeleton(topo, to_topo, find_violating_set_exhaustive(topo)[0])
-    for a in memo(skeleton, "rational"):
+    cached = memo(skeleton)
+    for a in (*cached.points, cached.sigma):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 0

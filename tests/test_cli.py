@@ -145,6 +145,8 @@ def test_invert_domain_error_exit_2(capsys, tmp_path):
     data = json.loads(out)
     _validator("invert").validate(data)
     assert data["error"]["type"] == "RankDeficientStepError"
+    assert data["error"]["step"] == 3  # "inversion step 3 is rank deficient"
+    assert "residual" not in data["error"]
 
     # the same sigma has a resolvable singleton fiber
     code, out = _run(
@@ -154,6 +156,42 @@ def test_invert_domain_error_exit_2(capsys, tmp_path):
     trace = json.loads(out)
     _validator("trace").validate(trace)
     assert trace["kind"] == "singleton"
+
+
+@pytest.mark.parametrize(
+    "backend, error",
+    [
+        (
+            "float",
+            {
+                "type": "InconsistentSystemError",
+                "message": "inversion step 2 is inconsistent (residual 1)",
+                "step": 2,
+                "residual": 1.0,
+            },
+        ),
+        (
+            # an exact inconsistency has no finite residual to report
+            "rational",
+            {
+                "type": "InconsistentSystemError",
+                "message": "inversion step 2 is inconsistent (residual inf)",
+                "step": 2,
+            },
+        ),
+    ],
+)
+def test_invert_off_image_sigma_reports_step_and_residual(capsys, tmp_path, backend, error):
+    graph = tmp_path / "g.graph"
+    graph.write_text("1 -> 2\n2 -> 3\n")
+    sigma = tmp_path / "sigma.json"
+    # step 2 asks sigma_13 = sigma_12 * lambda_23 with sigma_12 = 0
+    sigma.write_text(json.dumps([[1, 0, 1], [0, 1, 0], [1, 0, 2]]))
+    code, out = _run(capsys, "invert", str(graph), str(sigma), "--backend", backend)
+    assert code == 2
+    data = json.loads(out)
+    assert data == {"error": error}
+    _validator("invert").validate(data)
 
 
 @pytest.mark.parametrize("backend", ["float", "rational"])

@@ -101,6 +101,31 @@ def test_relabel_topologically():
     assert relabel(g, mapping).directed == topo.directed
 
 
+def test_relabel_topologically_returns_a_topological_graph_itself():
+    g = MixedGraph(m=4, directed={(1, 3), (2, 3), (3, 4)}, bidirected={(1, 4)}, names="abcd")
+    topo, mapping = relabel_topologically(g)
+    assert topo is g
+    assert mapping == {1: 1, 2: 2, 3: 3, 4: 4}
+    # on every upper-triangular directed part the tie-broken order is 1..m
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for mask in range(1 << len(pairs)):
+        h = MixedGraph(m=4, directed={e for k, e in enumerate(pairs) if mask >> k & 1})
+        assert topological_order(h) == (1, 2, 3, 4)
+        assert relabel_topologically(h)[0] is h
+
+
+def test_relabel_topologically_moves_names_with_their_nodes():
+    g = MixedGraph(m=3, directed={(3, 1), (1, 2)}, bidirected={(2, 3)}, names=("x", "y", "z"))
+    topo, mapping = relabel_topologically(g)
+    assert topo is not g
+    assert mapping == {3: 1, 1: 2, 2: 3}
+    assert topo.directed == frozenset({(1, 2), (2, 3)})
+    assert topo.bidirected == frozenset({(1, 3)})
+    assert topo.names == ("z", "x", "y")
+    for old, new in mapping.items():
+        assert topo.name_of(new) == g.name_of(old)
+
+
 def test_induced_subgraph(iv_graph):
     sub, back = induced_subgraph(iv_graph, {2, 3})
     assert sub.m == 2

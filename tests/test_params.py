@@ -122,6 +122,50 @@ def test_sample_parameters_deterministic_and_valid():
     check_omega_support(g, om1)
 
 
+def _sample_float_loop(g, seed, scale):
+    """The float draw of ``sample_parameters`` as a loop over array entries:
+    the reference that its list-based draw must match bit for bit."""
+    rng = random.Random(seed)
+    lam = linalg.zeros(g.m, g.m, "float")
+    for i, j in sorted(g.directed):
+        lam[i - 1, j - 1] = rng.uniform(-scale, scale)
+    omega = linalg.zeros(g.m, g.m, "float")
+    for i, j in sorted(g.bidirected):
+        v = rng.uniform(-scale, scale)
+        omega[i - 1, j - 1] = v
+        omega[j - 1, i - 1] = v
+    one = linalg.parse_entry(1, "float")
+    for i in range(g.m):
+        row_sum = sum(abs(omega[i, j]) for j in range(g.m) if j != i)
+        omega[i, i] = row_sum + one
+    return lam, omega
+
+
+@st.composite
+def _any_edges(draw):
+    """A graph on 1..8 nodes with any directed and bidirected edges, cycles included."""
+    m = draw(st.integers(1, 8))
+    ordered = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    directed = draw(st.sets(st.sampled_from(ordered))) if ordered else set()
+    bidirected = {(i, j) for i, j in directed if i < j} if draw(st.booleans()) else set()
+    unordered = [(i, j) for i, j in ordered if i < j]
+    bidirected |= draw(st.sets(st.sampled_from(unordered))) if unordered else set()
+    return MixedGraph(m=m, directed=directed, bidirected=bidirected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _any_edges(),
+    st.integers(0, 2**64),
+    st.one_of(st.just(1.0), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+)
+def test_float_sample_parameters_match_the_entry_loop_bit_for_bit(g, seed, scale):
+    for got, ref in zip(sample_parameters(g, seed, scale), _sample_float_loop(g, seed, scale)):
+        assert got.dtype == ref.dtype == np.float64
+        assert got.shape == ref.shape == (g.m, g.m)
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("backend", linalg.BACKENDS)
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
 def test_sample_parameters_rejects_non_finite_scale(iv_graph, backend, scale):
