@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, witness
-from .criterion import check_global_identifiability, find_violating_set_exhaustive
+from .criterion import find_violating_set, find_violating_set_exhaustive
 from .errors import SemidentError, SupportViolationError
 from .graphs import MixedGraph, is_simple, relabel_topologically
 from .inversion import _step_records
@@ -196,12 +196,10 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
     if hit is None:
         lam, omega = _probe_points(topo, canonical_form(g), trials)
         records = list(_step_records(topo, lam, omega))
-        for k in range(len(lam)):  # report point by point, each step in order
-            for rec in records:
-                if not rec.passed[k]:
-                    raise SemidentError(
-                        f"subset scan says injective but rank fails at step {rec.step}"
-                    )
+        if not all(rec.passed.all() for rec in records):
+            # report point by point, each step in order
+            step = next(rec.step for k in range(len(lam)) for rec in records if not rec.passed[k])
+            raise SemidentError(f"subset scan says injective but rank fails at step {step}")
         return OracleVerdict(True, f"rank conditions at {len(lam)} points")
     pair = _oracle_witness(g, topo, to_topo, hit[0])
     if pair.residual != 0 or pair.separation == 0:
@@ -353,9 +351,13 @@ class CensusReport:
 
 
 def _classify(g: MixedGraph) -> tuple:
-    """Pass 1, one representative: canonical key, |Aut|, edges, simplicity, verdict."""
+    """Pass 1, one representative: canonical key, |Aut|, edges, simplicity, verdict.
+
+    Representatives are upper-triangular, so they already carry topological
+    labels and the fixpoint search runs on them as they are.
+    """
     key, n_aut = _canonical(g)
-    identifiable = check_global_identifiability(g).identifiable
+    identifiable = find_violating_set(g) is None
     return key, n_aut, g.directed, g.bidirected, is_simple(g), identifiable
 
 

@@ -14,7 +14,9 @@ from itertools import combinations
 from .errors import CyclicDirectedPartError
 from .graphs import (
     MixedGraph,
-    _bfs,
+    _closure,
+    _first_nodes,
+    _members,
     bidirected_connected,
     has_converging_arborescence,
     is_ancestral,
@@ -64,22 +66,23 @@ def find_violating_set(g: MixedGraph) -> tuple[tuple, int] | None:
     """Search for a violating induced subgraph by a shrinking fixpoint.
 
     Requires a topologically labeled acyclic graph. For each candidate sink y
-    (later labels first) start from all nodes and alternately drop nodes with
+    (later labels first) start from nodes 1..y and alternately drop nodes with
     no directed path to y inside the current set and nodes outside y's
     bidirected component, until stable. The first sink whose fixpoint keeps at
     least two nodes yields the (maximal for that sink) violating set.
     """
     require_acyclic(g)
+    parents, siblings = g._parents, g._siblings
     for y in range(g.m, 0, -1):
-        a = frozenset(g.nodes)
+        a = _first_nodes(y)  # only nodes 1..y can reach y
         while True:
-            reach = _bfs(g.parents, y, a)
-            comp = frozenset(_bfs(g.siblings, y, reach))
+            reach = _closure(parents, y, a)
+            comp = _closure(siblings, y, reach)
             if comp == a:
                 break
             a = comp
-        if len(a) >= 2:
-            return tuple(sorted(a)), y
+        if a & (a - 1):  # at least two nodes
+            return tuple(_members(a)), y
     return None
 
 

@@ -4,19 +4,21 @@ Nodes are internally labeled 1..m. External node names from parsed files are
 kept in a symbol table on the graph. All values are immutable; every operation
 is a pure function.
 
-Each graph indexes its parent, child and sibling adjacency once, on
-construction; this module alone decides how adjacency is stored. It alone
-decides acyclicity too (``require_acyclic``, ``topological_order``): no other
-module runs the directed-cycle search. Every walk goes through ``_bfs``, which
-visits neighbours in ascending order: witness construction reads its BFS
-trees, so its output depends on that order.
+Each graph stores its adjacency once, on construction, as one Python-int
+bitmask per node: ``_parents[v]``, ``_children[v]`` and ``_siblings[v]`` have
+bit w set when w is a parent, child or sibling of v (bit 0 and index 0 are
+unused). This module alone decides how adjacency is stored. It alone decides
+acyclicity too (``require_acyclic``, ``topological_order``): no other module
+runs the directed-cycle search. Set-valued walks (reachability, connectivity,
+the fixpoint criterion) are one ``_closure`` of masks. Walks whose tree is
+read go through ``_bfs``, which visits neighbours in ascending order: witness
+construction reads its BFS trees, so its output depends on that order.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable
@@ -29,7 +31,6 @@ from .errors import (
 )
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_]+$")
-_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -46,35 +47,35 @@ class MixedGraph:
     directed: frozenset = frozenset()
     bidirected: frozenset = frozenset()
     names: tuple = field(default=None, compare=False)
-    _parents: dict = field(init=False, repr=False, compare=False)
-    _children: dict = field(init=False, repr=False, compare=False)
-    _siblings: dict = field(init=False, repr=False, compare=False)
+    _parents: tuple = field(init=False, repr=False, compare=False)
+    _children: tuple = field(init=False, repr=False, compare=False)
+    _siblings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        directed = frozenset((int(i), int(j)) for i, j in self.directed)
-        bidirected = frozenset(
-            (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.bidirected
-        )
-        parents, children, siblings = {}, {}, {}  # isolated nodes stay out
-        for edges, forward, backward in (
-            (directed, children, parents),
-            (bidirected, siblings, siblings),
-        ):
-            for i, j in edges:
-                if i == j:
-                    raise SelfLoopError(f"self-loop at node {i}")
-                if not (1 <= i <= self.m and 1 <= j <= self.m):
-                    raise GraphParseError(f"edge ({i},{j}) outside node range 1..{self.m}")
-                forward.setdefault(i, set()).add(j)
-                backward.setdefault(j, set()).add(i)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "bidirected", bidirected)
-        for attr, index in (
-            ("_parents", parents),
-            ("_children", children),
-            ("_siblings", siblings),
-        ):
-            object.__setattr__(self, attr, {v: frozenset(a) for v, a in index.items()})
+        m = self.m
+        parents, children, siblings = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+        directed, bidirected = set(), set()
+        for i, j in self.directed:
+            i, j = int(i), int(j)
+            if i == j or not (0 < i <= m and 0 < j <= m):
+                _reject_edge(i, j, m)
+            directed.add((i, j))
+            children[i] |= 1 << j
+            parents[j] |= 1 << i
+        for i, j in self.bidirected:
+            i, j = int(i), int(j)
+            if i > j:
+                i, j = j, i
+            if not 0 < i < j <= m:
+                _reject_edge(i, j, m)
+            bidirected.add((i, j))
+            siblings[i] |= 1 << j
+            siblings[j] |= 1 << i
+        object.__setattr__(self, "directed", frozenset(directed))
+        object.__setattr__(self, "bidirected", frozenset(bidirected))
+        object.__setattr__(self, "_parents", tuple(parents))
+        object.__setattr__(self, "_children", tuple(children))
+        object.__setattr__(self, "_siblings", tuple(siblings))
         if self.names is not None:
             names = tuple(str(n) for n in self.names)
             if len(names) != self.m:
@@ -94,16 +95,27 @@ class MixedGraph:
         return (min(i, j), max(i, j)) in self.bidirected
 
     def parents(self, i: int) -> frozenset:
-        return self._parents.get(i, _EMPTY)
+        return self._node_set(self._parents, i)
 
     def children(self, i: int) -> frozenset:
-        return self._children.get(i, _EMPTY)
+        return self._node_set(self._children, i)
 
     def siblings(self, i: int) -> frozenset:
-        return self._siblings.get(i, _EMPTY)
+        return self._node_set(self._siblings, i)
+
+    def _node_set(self, adj: tuple, i: int) -> frozenset:
+        """The nodes of ``adj[i]``; empty, as for an isolated node, when i is not in 1..m."""
+        return frozenset(_members(adj[i])) if 0 < i <= self.m else frozenset()
 
     def name_of(self, i: int) -> str:
         return self.names[i - 1] if self.names is not None else str(i)
+
+
+def _reject_edge(i: int, j: int, m: int):
+    """Raise the error for an edge (i, j) that is a self-loop or leaves 1..m."""
+    if i == j:
+        raise SelfLoopError(f"self-loop at node {i}")
+    raise GraphParseError(f"edge ({i},{j}) outside node range 1..{m}")
 
 
 def siblings_below(g: MixedGraph, i: int) -> frozenset:
@@ -116,10 +128,9 @@ def siblings_below(g: MixedGraph, i: int) -> frozenset:
 
 def is_simple(g: MixedGraph) -> bool:
     """True iff at most one edge joins any pair of nodes."""
-    for i, j in g.directed:
-        if g.has_bidirected(i, j) or (j, i) in g.directed:
-            return False
-    return True
+    return not any(
+        c & (p | s) for p, c, s in zip(g._parents, g._children, g._siblings)
+    )
 
 
 def find_directed_cycle(g: MixedGraph) -> tuple | None:
@@ -129,7 +140,7 @@ def find_directed_cycle(g: MixedGraph) -> tuple | None:
     for start in g.nodes:
         if color[start]:
             continue
-        stack = [(start, iter(sorted(g.children(start))))]
+        stack = [(start, iter(_members(g._children[start])))]
         color[start] = 1
         while stack:
             node, it = stack[-1]
@@ -138,7 +149,7 @@ def find_directed_cycle(g: MixedGraph) -> tuple | None:
                 if color[child] == 0:
                     color[child] = 1
                     parent[child] = node
-                    stack.append((child, iter(sorted(g.children(child)))))
+                    stack.append((child, iter(_members(g._children[child]))))
                     advanced = True
                     break
                 if color[child] == 1:
@@ -173,14 +184,14 @@ def topological_order(g: MixedGraph) -> tuple:
     Kahn's algorithm with ties broken by smallest original label. Raises
     CyclicDirectedPartError (carrying one cycle) when no order exists.
     """
-    indeg = {v: len(g.parents(v)) for v in g.nodes}
+    indeg = [p.bit_count() for p in g._parents]
     heap = [v for v in g.nodes if indeg[v] == 0]
     heapify(heap)
     order = []
     while heap:
         v = heappop(heap)
         order.append(v)
-        for c in g.children(v):
+        for c in _members(g._children[v]):
             indeg[c] -= 1
             if indeg[c] == 0:
                 heappush(heap, c)
@@ -250,54 +261,100 @@ def induced_subgraph(g: MixedGraph, nodes: Iterable[int]) -> tuple[MixedGraph, d
     return sub, back
 
 
-def _bfs(step, start: int, within=None) -> dict:
-    """Breadth-first walk from ``start`` along ``step(node)``.
+def _members(mask: int) -> list:
+    """The nodes of a mask, in ascending order."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return nodes
 
-    Only nodes in ``within`` (when given) are entered. Neighbours are visited
-    in ascending order. Returns {visited node: predecessor}, with the start
-    mapped to None, so the items are the edges of a BFS tree.
+
+def _first_nodes(k: int) -> int:
+    """The mask of nodes 1..k."""
+    return (2 << k) - 2
+
+
+def _node_mask(g: MixedGraph, nodes: Iterable[int]) -> int:
+    """The mask of a node set of ``g``; a node outside 1..m raises EmptySubsetError."""
+    mask = 0
+    for v in nodes:
+        if not 1 <= v <= g.m:
+            raise EmptySubsetError(f"node {v} outside 1..{g.m}")
+        mask |= 1 << v
+    return mask
+
+
+def _closure(adj: tuple, start: int, within: int = -1) -> int:
+    """Mask of the nodes reachable from ``start`` along the masks ``adj``.
+
+    Only nodes in the mask ``within`` are entered (-1, every bit set, enters
+    all); ``start`` itself is always in the result.
+    """
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _bfs(adj: tuple, start: int, within: int = -1) -> dict:
+    """Breadth-first walk from ``start`` along the masks ``adj``.
+
+    Only nodes in the mask ``within`` are entered. The queue is FIFO and
+    neighbours are visited in ascending order. Returns {visited node:
+    predecessor}, in visiting order, with the start mapped to None, so the
+    items are the edges of a BFS tree.
     """
     pred = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(step(v)):
-            if w not in pred and (within is None or w in within):
-                pred[w] = v
-                queue.append(w)
+    seen = 1 << start
+    queue = [start]
+    for v in queue:  # the queue grows while it is read
+        new = adj[v] & within & ~seen
+        seen |= new
+        for w in _members(new):
+            pred[w] = v
+            queue.append(w)
     return pred
 
 
 def descendants(g: MixedGraph, i: int) -> set:
     """Nodes reachable from i by directed paths (excluding i itself)."""
-    return set(_bfs(g.children, i)) - {i}
+    return set(_members(_closure(g._children, i) & ~(1 << i)))
 
 
 def is_ancestral(g: MixedGraph) -> bool:
     """True iff no bidirected edge joins a node to one of its descendants."""
     require_acyclic(g)
-    for i, j in g.bidirected:
-        if j in descendants(g, i) or i in descendants(g, j):
-            return False
-    return True
+    children = g._children
+    return not any(
+        _closure(children, i) >> j & 1 or _closure(children, j) >> i & 1
+        for i, j in g.bidirected
+    )
 
 
 def bidirected_connected(g: MixedGraph, nodes: Iterable[int]) -> bool:
     """True iff (A, B_A) is a connected undirected graph (singletons connect)."""
-    subset = frozenset(nodes)
+    subset = _node_mask(g, nodes)
     if not subset:
         raise EmptySubsetError("connectivity of the empty set")
-    return _bfs(g.siblings, next(iter(subset)), subset).keys() == subset
+    return _closure(g._siblings, subset.bit_length() - 1, subset) == subset
 
 
 def has_converging_arborescence(g: MixedGraph, nodes: Iterable[int], sink: int) -> bool:
     """True iff every node of the subset reaches ``sink`` by a directed path
     inside the subset (equivalently D_A contains an arborescence converging
     to the sink)."""
-    subset = frozenset(nodes)
-    if sink not in subset or len(subset) < 2:
+    subset = _node_mask(g, nodes)
+    if not (1 <= sink <= g.m and subset >> sink & 1) or subset.bit_count() < 2:
         raise EmptySubsetError("need sink in subset and at least two nodes")
-    return _bfs(g.parents, sink, subset).keys() == subset
+    return _closure(g._parents, sink, subset) == subset
 
 
 # -- parsing and serialization ----------------------------------------

@@ -24,7 +24,15 @@ from .errors import (
     SemidentError,
     ZeroCoordinateError,
 )
-from .graphs import MixedGraph, _bfs, induced_subgraph, relabel_topologically
+from .graphs import (
+    MixedGraph,
+    _bfs,
+    _closure,
+    _first_nodes,
+    bidirected_connected,
+    induced_subgraph,
+    relabel_topologically,
+)
 from .inversion import _omega_remainder, _step_indices
 from .params import path_inverse, phi
 
@@ -64,7 +72,7 @@ def build_arborescence_lambda(arb: MixedGraph, x) -> np.ndarray:
             raise ZeroCoordinateError("x must have all-nonzero coordinates")
     if arb.children(mm) or any(len(arb.children(i)) != 1 for i in range(1, mm)):
         raise NotArborescenceError("every non-sink node needs exactly one outgoing edge")
-    if len(_bfs(arb.parents, mm)) != mm:
+    if _closure(arb._parents, mm) != _first_nodes(mm):
         raise NotArborescenceError("outgoing edges do not converge to the sink")
     lam = linalg.zeros(mm, mm, backend)
     for i, j in arb.directed:
@@ -87,7 +95,7 @@ def build_laplacian_omega(gp: MixedGraph) -> np.ndarray:
     mm = gp.m
     n = mm - 1
     tree = gp.bidirected
-    if len(tree) != mm - 1 or len(_bfs(gp.siblings, 1)) != mm:
+    if len(tree) != mm - 1 or not bidirected_connected(gp, gp.nodes):
         raise NotSpanningTreeError("bidirected part must be a spanning tree")
     s = sorted(gp.siblings(mm))
     r = [v for v in range(1, mm + 1 - 1) if v not in s]
@@ -167,7 +175,7 @@ def _skeleton(gt: MixedGraph, to_topo: dict, a: tuple) -> tuple[MixedGraph, list
     """
     sub, back_to_topo = induced_subgraph(gt, a)
     mm = sub.m  # every node of the set is an ancestor of the sink, so the sink is last
-    arb, tree = (_bfs(step, mm) for step in (sub.parents, sub.siblings))
+    arb, tree = (_bfs(adj, mm) for adj in (sub._parents, sub._siblings))
     skeleton = MixedGraph(
         m=mm,
         directed={(v, w) for v, w in arb.items() if w is not None},

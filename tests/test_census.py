@@ -5,7 +5,6 @@ import json
 import os
 import random
 from itertools import combinations, permutations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,15 +302,15 @@ def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch
             later = g  # not the first representative of its class
             break
         seen.add(key)
-    criterion = semident.census.check_global_identifiability
+    search = semident.census.find_violating_set
 
     def flipped(g):
-        verdict = criterion(g)
+        hit = search(g)
         if g == later:
-            return SimpleNamespace(identifiable=not verdict.identifiable)
-        return verdict
+            return ((1, 2), 2) if hit is None else None
+        return hit
 
-    monkeypatch.setattr(semident.census, "check_global_identifiability", flipped)
+    monkeypatch.setattr(semident.census, "find_violating_set", flipped)
     report = census_report(3, trials=1)
     edges = (tuple(sorted(later.directed)), tuple(sorted(later.bidirected)))
     assert report.disagreements == [(*edges, "verdict")]
@@ -435,6 +434,35 @@ def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
         if not rec.passed
     ]
     assert failures == [3, 1, 2, 3]
+    with pytest.raises(SemidentError) as exc:
+        injectivity_oracle(g)
+    assert str(exc.value) == "subset scan says injective but rank fails at step 3"
+
+
+def test_first_failing_probe_names_its_own_step(monkeypatch):
+    g = MixedGraph(m=4, directed={(1, 2), (2, 3), (3, 4)})  # a chain: injective
+    key = canonical_form(g)
+    topo, _ = relabel_topologically(g)
+    base = semident.census._seed_from_key(key)
+    # probe 2 loses rank at step 3 only, the later probe 7 at step 2 only
+    degenerate = {
+        base ^ 2: (np.zeros((4, 4)), np.diag([1.0, 1.0, 0.0, 1.0])),
+        base ^ 7: (np.zeros((4, 4)), np.diag([1.0, 0.0, 1.0, 1.0])),
+    }
+    sample = semident.census.sample_parameters
+    monkeypatch.setattr(
+        semident.census,
+        "sample_parameters",
+        lambda topo, seed: degenerate[seed] if seed in degenerate else sample(topo, seed),
+    )
+    lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
+    failures = [
+        (k, rec.step)
+        for k in range(len(lam))
+        for rec in _step_records(topo, lam[k], omega[k])
+        if not rec.passed
+    ]
+    assert failures == [(3, 3), (8, 2)]
     with pytest.raises(SemidentError) as exc:
         injectivity_oracle(g)
     assert str(exc.value) == "subset scan says injective but rank fails at step 3"

@@ -1,17 +1,25 @@
 """Graph structure, validation, traversal, and serialization."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semident.criterion import check_global_identifiability
+from semident.criterion import (
+    check_global_identifiability,
+    find_violating_set,
+    find_violating_set_exhaustive,
+)
 from semident.errors import (
     CyclicDirectedPartError,
+    EmptySubsetError,
     GraphParseError,
     SelfLoopError,
 )
 from semident.graphs import (
     MixedGraph,
+    _bfs,
     bidirected_connected,
     descendants,
     find_directed_cycle,
@@ -232,12 +240,18 @@ def test_relabel_preserves_structure(g, rnd):
 
 
 @st.composite
-def any_mixed_graphs(draw, max_m=6):
-    """Mixed graphs with arbitrary directed edges, directed cycles included."""
+def any_mixed_graphs(draw, max_m=6, acyclic=False):
+    """Mixed graphs with arbitrary directed edges, directed cycles included.
+
+    With ``acyclic`` every directed edge goes from a lower to a higher label.
+    """
     m = draw(st.integers(1, max_m))
     nodes = range(1, m + 1)
     directed = frozenset(
-        (i, j) for i in nodes for j in nodes if i != j and draw(st.booleans())
+        (i, j)
+        for i in nodes
+        for j in nodes
+        if (i < j if acyclic else i != j) and draw(st.booleans())
     )
     bidirected = frozenset(
         (i, j) for i in nodes for j in nodes if i < j and draw(st.booleans())
@@ -245,17 +259,43 @@ def any_mixed_graphs(draw, max_m=6):
     return MixedGraph(m=m, directed=directed, bidirected=bidirected)
 
 
+def _scan_reach(steps, start, within=None):
+    """Nodes reachable from ``start`` along the pairs (from, to) in ``steps``,
+    by repeated scans of the pairs, entering only nodes of ``within``."""
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {
+            k for j, k in steps if j in frontier and (within is None or k in within)
+        } - seen
+        seen |= frontier
+    return seen
+
+
 def _scan_descendants(g, i):
     """Directed reachability from i by repeated scans of the edge set."""
-    seen, frontier = set(), {i}
-    while frontier:
-        frontier = {k for j, k in g.directed if j in frontier} - seen
-        seen |= frontier
-    return seen - {i}
+    return _scan_reach(g.directed, i) - {i}
+
+
+def _sorted_frozenset_walk(step, start, within=None):
+    """Breadth-first walk along ``step(node)`` (a frozenset), as ``graphs._bfs``
+    walked before adjacency was stored as bitmasks: FIFO, ascending neighbours."""
+    pred = {start: None}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(step(v)):
+            if w not in pred and (within is None or w in within):
+                pred[w] = v
+                queue.append(w)
+    return pred
+
+
+def _mask(nodes):
+    return sum(1 << v for v in set(nodes))
 
 
 @settings(max_examples=80, deadline=None)
-@given(any_mixed_graphs())
+@given(any_mixed_graphs(max_m=12))
 def test_adjacency_index_matches_edge_scan(g):
     for i in g.nodes:
         assert g.parents(i) == frozenset(j for j, k in g.directed if k == i)
@@ -268,6 +308,71 @@ def test_adjacency_index_matches_edge_scan(g):
             assert siblings_below(g, i) == frozenset(
                 j for j in range(1, i + 1) if g.has_bidirected(j, i + 1)
             )
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_mixed_graphs(max_m=12), st.data())
+def test_bfs_matches_the_sorted_frozenset_walk(g, data):
+    for step, adj in (
+        (g.parents, g._parents),
+        (g.children, g._children),
+        (g.siblings, g._siblings),
+    ):
+        start = data.draw(st.sampled_from(g.nodes))
+        within = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(g.nodes))))
+        expected = _sorted_frozenset_walk(step, start, within)
+        got = _bfs(adj, start) if within is None else _bfs(adj, start, _mask(within))
+        assert list(got.items()) == list(expected.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_mixed_graphs(max_m=12), st.data())
+def test_closure_queries_match_edge_scans(g, data):
+    reversed_directed = {(j, i) for i, j in g.directed}
+    undirected = g.bidirected | {(j, i) for i, j in g.bidirected}
+    assert is_simple(g) == all(
+        (i, j) not in g.bidirected and (j, i) not in g.bidirected and (j, i) not in g.directed
+        for i, j in g.directed
+    )
+    if find_directed_cycle(g) is None:
+        assert is_ancestral(g) == all(
+            j not in _scan_reach(g.directed, i) and i not in _scan_reach(g.directed, j)
+            for i, j in g.bidirected
+        )
+    else:
+        with pytest.raises(CyclicDirectedPartError):
+            is_ancestral(g)
+    subset = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+    start = min(subset)
+    assert bidirected_connected(g, subset) == (_scan_reach(undirected, start, subset) == subset)
+    if len(subset) >= 2:
+        sink = data.draw(st.sampled_from(sorted(subset)))
+        assert has_converging_arborescence(g, subset, sink) == (
+            _scan_reach(reversed_directed, sink, subset) == subset
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_mixed_graphs(max_m=7, acyclic=True))
+def test_fixpoint_and_exhaustive_scan_agree_on_random_acyclic_graphs(g):
+    hit = find_violating_set(g)
+    assert (hit is None) == (find_violating_set_exhaustive(g) is None)
+    if hit is not None:
+        a, y = hit
+        assert bidirected_connected(g, a)
+        assert has_converging_arborescence(g, a, y)
+
+
+def test_nodes_outside_the_graph(iv_graph):
+    for i in (-1, 0, 4):
+        assert iv_graph.parents(i) == iv_graph.children(i) == iv_graph.siblings(i) == frozenset()
+    assert siblings_below(iv_graph, 3) == frozenset()
+    with pytest.raises(EmptySubsetError):
+        bidirected_connected(iv_graph, [2, 4])
+    with pytest.raises(EmptySubsetError):
+        has_converging_arborescence(iv_graph, [0, 3], 3)
+    with pytest.raises(EmptySubsetError):
+        has_converging_arborescence(iv_graph, [2, 3], 4)
 
 
 @settings(max_examples=120, deadline=None)
