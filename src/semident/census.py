@@ -2,7 +2,11 @@
 
 Enumerates every acyclic mixed graph on up to five nodes (directed parts as
 upper-triangular DAG representatives) and classifies identifiability with
-the fixpoint criterion on every representative. Every representative's
+the fixpoint criterion on every representative. A representative is a pair
+of pair masks ``(dmask, bmask)``, and pass 1 works on those masks alone: one
+work unit per directed part takes every bidirected part's canonical key,
+|Aut| and fixpoint verdict from tables built once per node count
+(``_mask_tables``), and builds no graph object. Every representative's
 verdict must agree with the verdict of its isomorphism class. Injectivity is
 invariant under relabelling, so each class is then checked once against an
 oracle built from the exhaustive induced-subgraph scan, random-point rank
@@ -28,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, witness
-from .criterion import find_violating_set, find_violating_set_exhaustive
+from .criterion import _violating_set, find_violating_set_exhaustive
 from .errors import SemidentError, SupportViolationError
-from .graphs import MixedGraph, is_simple, relabel_topologically
+from .graphs import MixedGraph, relabel_topologically
 from .inversion import _step_records
 from .params import phi, sample_parameters
 
@@ -50,14 +54,18 @@ def enumerate_graphs(n: int, simple_only: bool = False):
     """
     if not 1 <= n <= MAX_N:
         raise SemidentError(f"census supports 1 <= n <= {MAX_N}, got {n}")
-    pairs = list(combinations(range(1, n + 1), 2))
+    pairs = tuple(combinations(range(1, n + 1), 2))
     for dmask in range(1 << len(pairs)):
-        directed = frozenset(p for k, p in enumerate(pairs) if dmask >> k & 1)
+        directed = _pairs_of(pairs, dmask)
         for bmask in range(1 << len(pairs)):
-            bidirected = frozenset(p for k, p in enumerate(pairs) if bmask >> k & 1)
-            if simple_only and directed & bidirected:
+            if simple_only and dmask & bmask:
                 continue
-            yield MixedGraph(m=n, directed=directed, bidirected=bidirected)
+            yield MixedGraph(m=n, directed=directed, bidirected=_pairs_of(pairs, bmask))
+
+
+def _pairs_of(pairs: tuple, mask: int) -> tuple:
+    """The pairs whose bits are set in ``mask`` (bit k stands for ``pairs[k]``), in order."""
+    return tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
 
 
 def canonical_form(g: MixedGraph) -> tuple:
@@ -119,14 +127,66 @@ def _canonical(g: MixedGraph) -> tuple[tuple, int]:
     # the bits of one permutation's images are distinct, so their sum is their OR
     images = table[rows].sum(axis=0)
     best = int(images.max())
-    n_aut = int(np.count_nonzero(images == best))
+    return _key_of(g.m, edges, best), int(np.count_nonzero(images == best))
+
+
+def _key_of(n: int, edges: tuple, best: int) -> tuple:
+    """The key ``(n, directed, bidirected)`` of an image mask in the bit order of ``edges``.
+
+    ``edges`` is ``_permutation_table(n)[0]``; the mask's edges are read from
+    its top bit down, so each kind comes out sorted.
+    """
     key_edges: dict[str, list] = {"d": [], "b": []}
     while best:
         top = best.bit_length() - 1
         kind, pair = edges[-1 - top]
         key_edges[kind].append(pair)
         best ^= 1 << top
-    return (g.m, tuple(key_edges["d"]), tuple(key_edges["b"])), n_aut
+    return n, tuple(key_edges["d"]), tuple(key_edges["b"])
+
+
+class _MaskTables(NamedTuple):
+    """Census pass 1's tables for one node count; see ``_mask_tables``."""
+
+    pairs: tuple
+    directed: np.ndarray
+    bidirected: np.ndarray
+    parents: tuple
+    siblings: tuple
+
+
+@cache
+def _mask_tables(n: int) -> _MaskTables:
+    """Pass 1's tables over the upper-triangular pairs of 1..n, indexed by pair mask.
+
+    Bit k of a pair mask stands for ``pairs[k]``. Row ``mask`` of ``directed``
+    holds, per permutation of ``_permutation_table(n)``, the image mask of the
+    directed edges of ``mask``, and row ``mask`` of ``bidirected`` that of its
+    bidirected edges: one 0/1 matrix product with the table rows of the pairs
+    each. Directed bits sit above bidirected bits and one permutation's images
+    are distinct bits, so ``bidirected[b] + directed[d]`` is the image mask of
+    the representative ``(d, b)``. ``parents[mask]`` and ``siblings[mask]``
+    are the adjacency masks a ``MixedGraph`` on the directed, or bidirected,
+    edges of ``mask`` stores. Built on first use, read-only and shared.
+    """
+    _, row, table = _permutation_table(n)
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    masks = range(1 << len(pairs))
+    bits = np.array([[mask >> k & 1 for k in range(len(pairs))] for mask in masks], dtype=np.int64)
+    directed = bits @ table[[row["d", p] for p in pairs]]
+    bidirected = bits @ table[[row["b", p] for p in pairs]]
+    parents, siblings = [], []
+    for mask in masks:
+        par, sib = [0] * (n + 1), [0] * (n + 1)
+        for i, j in _pairs_of(pairs, mask):
+            par[j] |= 1 << i
+            sib[i] |= 1 << j
+            sib[j] |= 1 << i
+        parents.append(tuple(par))
+        siblings.append(tuple(sib))
+    for a in (directed, bidirected):
+        a.flags.writeable = False
+    return _MaskTables(pairs, directed, bidirected, tuple(parents), tuple(siblings))
 
 
 def _seed_from_key(key: tuple) -> int:
@@ -350,15 +410,27 @@ class CensusReport:
         return buf.getvalue()
 
 
-def _classify(g: MixedGraph) -> tuple:
-    """Pass 1, one representative: canonical key, |Aut|, edges, simplicity, verdict.
+def _classify_directed(dmask: int, n: int, simple_only: bool) -> tuple[list, list, list, list]:
+    """Pass 1, one directed part: every representative ``(dmask, bmask)``, by bmask.
 
-    Representatives are upper-triangular, so they already carry topological
-    labels and the fixpoint search runs on them as they are.
+    Returns the lists ``bmasks``, ``best`` (the image mask that names the
+    class, see ``_canonical``), ``n_aut`` (|Aut|) and ``identifiable`` (the
+    fixpoint verdict), one entry per representative. Representatives are
+    upper-triangular, so they carry topological labels and the fixpoint runs
+    on their masks as they are. With ``simple_only``, bidirected parts that
+    share a pair with ``dmask`` are left out.
     """
-    key, n_aut = _canonical(g)
-    identifiable = find_violating_set(g) is None
-    return key, n_aut, g.directed, g.bidirected, is_simple(g), identifiable
+    tables = _mask_tables(n)
+    bmasks = np.arange(len(tables.bidirected))
+    if simple_only:
+        bmasks = bmasks[(bmasks & dmask) == 0]
+    images = tables.bidirected[bmasks] + tables.directed[dmask]
+    best = images.max(axis=1)
+    n_aut = np.count_nonzero(images == best[:, None], axis=1)
+    bmasks = bmasks.tolist()
+    parents, siblings = tables.parents[dmask], tables.siblings
+    identifiable = [_violating_set(parents, siblings[b]) is None for b in bmasks]
+    return bmasks, best.tolist(), n_aut.tolist(), identifiable
 
 
 def _oracle_disagreement(cls: tuple, n: int, trials: int) -> str | None:
@@ -386,16 +458,18 @@ def census_report(
 ) -> CensusReport:
     """Classify every acyclic mixed graph on ``n`` nodes (n <= 5).
 
-    Two streamed passes. The first runs the fixpoint criterion on every
-    upper-triangular representative and deduplicates them into unlabeled
-    classes by canonical key; every representative's verdict must agree with
-    its class's verdict. The second runs the oracle once per class, on the
-    class's first representative, and its answer must agree with the class's
-    verdict. Every conflict lands in ``disagreements``, with the check that
-    failed (``Disagreement.reason``). The labeled count of
-    a class is n! / |Aut(G)|, the number of distinct labelings of G. Both
-    passes are streamed, in order, to at most ``min(jobs, os.cpu_count())``
-    worker processes.
+    Two streamed passes. The first visits every upper-triangular
+    representative as its pair masks ``(dmask, bmask)``, one work unit per
+    directed part (``_classify_directed``): it runs the fixpoint criterion
+    on the masks and deduplicates the representatives into unlabeled classes
+    by their largest permutation image; every representative's verdict must
+    agree with its class's verdict. Only a new class has its key and edges
+    decoded. The second runs the oracle once per class, on the class's first
+    representative, and its answer must agree with the class's verdict.
+    Every conflict lands in ``disagreements``, with the check that failed
+    (``Disagreement.reason``). The labeled count of a class is n! / |Aut(G)|,
+    the number of distinct labelings of G. Both passes are streamed, in
+    order, to at most ``min(jobs, os.cpu_count())`` worker processes.
     """
     if not 1 <= n <= 5:
         raise SemidentError(f"census_report supports 1 <= n <= 5, got {n}")
@@ -405,30 +479,33 @@ def census_report(
         raise SemidentError(f"census_report needs trials >= 0, got {trials}")
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
-    classes: dict[tuple, CensusRow] = {}
+    classes: dict[int, CensusRow] = {}
     factorial = math.factorial(n)
+    edges = _permutation_table(n)[0]
+    pairs = _mask_tables(n).pairs
     with Pool(workers) if workers > 1 else nullcontext() as pool:
 
         def stream(func, items, chunksize):
             return pool.imap(func, items, chunksize=chunksize) if pool else map(func, items)
 
-        graphs = enumerate_graphs(n, simple_only=simple_only)
-        for key, n_aut, directed, bidirected, simple, identifiable in stream(
-            _classify, graphs, 64
-        ):
-            row = classes.get(key)
-            if row is None:
-                classes[key] = CensusRow(
-                    key=key,
-                    directed=tuple(sorted(directed)),
-                    bidirected=tuple(sorted(bidirected)),
-                    simple=simple,
-                    identifiable=identifiable,
-                    labeled_count=factorial // n_aut,
-                )
-            elif row.identifiable != identifiable:
-                edges = (tuple(sorted(directed)), tuple(sorted(bidirected)))
-                report.disagreements.append(Disagreement(*edges, "verdict"))
+        unit = partial(_classify_directed, n=n, simple_only=simple_only)
+        units = stream(unit, range(1 << len(pairs)), 4)
+        for dmask, (bmasks, bests, auts, verdicts) in enumerate(units):
+            for bmask, best, n_aut, identifiable in zip(bmasks, bests, auts, verdicts):
+                row = classes.get(best)
+                if row is None:
+                    classes[best] = CensusRow(
+                        key=_key_of(n, edges, best),
+                        directed=_pairs_of(pairs, dmask),
+                        bidirected=_pairs_of(pairs, bmask),
+                        simple=not dmask & bmask,
+                        identifiable=identifiable,
+                        labeled_count=factorial // n_aut,
+                    )
+                elif row.identifiable != identifiable:
+                    report.disagreements.append(
+                        Disagreement(_pairs_of(pairs, dmask), _pairs_of(pairs, bmask), "verdict")
+                    )
         report.rows = list(classes.values())
         check = partial(_oracle_disagreement, n=n, trials=trials)
         verdicts = ((r.directed, r.bidirected, r.identifiable) for r in report.rows)

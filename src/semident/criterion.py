@@ -17,8 +17,6 @@ from .graphs import (
     _closure,
     _first_nodes,
     _members,
-    bidirected_connected,
-    has_converging_arborescence,
     is_ancestral,
     is_simple,
     relabel_topologically,
@@ -72,8 +70,21 @@ def find_violating_set(g: MixedGraph) -> tuple[tuple, int] | None:
     least two nodes yields the (maximal for that sink) violating set.
     """
     require_acyclic(g)
-    parents, siblings = g._parents, g._siblings
-    for y in range(g.m, 0, -1):
+    hit = _violating_set(g._parents, g._siblings)
+    if hit is None:
+        return None
+    a, y = hit
+    return tuple(_members(a)), y
+
+
+def _violating_set(parents: tuple, siblings: tuple) -> tuple[int, int] | None:
+    """``find_violating_set`` on adjacency masks: ``(set mask, sink)`` or None.
+
+    ``parents`` and ``siblings`` are per-node masks as ``MixedGraph`` stores
+    them (index 0 unused) of a topologically labeled acyclic graph; nothing
+    here checks that. The census runs this on masks it builds itself.
+    """
+    for y in range(len(parents) - 1, 0, -1):
         a = _first_nodes(y)  # only nodes 1..y can reach y
         while True:
             reach = _closure(parents, y, a)
@@ -82,7 +93,7 @@ def find_violating_set(g: MixedGraph) -> tuple[tuple, int] | None:
                 break
             a = comp
         if a & (a - 1):  # at least two nodes
-            return tuple(_members(a)), y
+            return a, y
     return None
 
 
@@ -91,16 +102,21 @@ def find_violating_set_exhaustive(g: MixedGraph) -> tuple[tuple, int] | None:
 
     Exponential in the node count; retained as the independent oracle that
     cross-validates the fixpoint search (census uses it up to five nodes).
+    Each subset's mask is built once and both closure tests run on it: the
+    bidirected part connects the subset, and some node of it is reached from
+    every other inside it.
     """
     require_acyclic(g)
-    nodes = sorted(g.nodes)
+    parents, siblings = g._parents, g._siblings
+    nodes = range(1, g.m + 1)
+    bits = [1 << v for v in nodes]
     for size in range(g.m, 1, -1):
-        for subset in combinations(nodes, size):
-            if not bidirected_connected(g, subset):
+        for subset, mask in zip(combinations(nodes, size), map(sum, combinations(bits, size))):
+            if _closure(siblings, subset[-1], mask) != mask:
                 continue
             for y in subset:
-                if has_converging_arborescence(g, subset, y):
-                    return tuple(subset), y
+                if _closure(parents, y, mask) == mask:
+                    return subset, y
     return None
 
 

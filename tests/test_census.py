@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 from itertools import combinations, permutations
@@ -25,7 +26,14 @@ from semident.census import (
 from semident.cli import main
 from semident.criterion import check_global_identifiability, find_violating_set_exhaustive
 from semident.errors import SemidentError, SupportViolationError
-from semident.graphs import MixedGraph, is_simple, relabel, relabel_topologically
+from semident.graphs import (
+    MixedGraph,
+    _bfs,
+    induced_subgraph,
+    is_simple,
+    relabel,
+    relabel_topologically,
+)
 from semident.inversion import _step_records
 from semident.witness import construct_witness, witness_from_set
 
@@ -181,7 +189,7 @@ CENSUS_N5_CSV_SHA256 = "0ab69774b5af12b14e7458ed70f5d84154dc895bdd838df402090518
 
 @pytest.mark.slow
 def test_census_report_five_nodes():
-    # about three minutes serially; deselected by default, run with ``pytest -m slow``
+    # under a minute serially; deselected by default, run with ``pytest -m slow``
     report = census_report(5)
     assert report.disagreements == []
     assert report.unlabeled_total == 256_190
@@ -192,6 +200,40 @@ def test_census_report_five_nodes():
     # labeled acyclic mixed graphs: labeled DAGs on five nodes (OEIS A003024) x 2^C(5,2)
     assert report.labeled_total == 29_281 * 2**10 == 29_983_744
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == CENSUS_N5_CSV_SHA256
+
+
+@pytest.mark.parametrize("simple_only", [False, True])
+def test_mask_pass_matches_every_representative(simple_only):
+    # the per-graph answers pass 1 gave before it ran on masks, for every
+    # representative in enumeration order, and the class order they imply
+    census = semident.census
+    for n in range(1, 5):
+        graphs = enumerate_graphs(n, simple_only=simple_only)
+        edges, pairs = census._permutation_table(n)[0], census._mask_tables(n).pairs
+        first = {}
+        for dmask in range(1 << len(pairs)):
+            for bmask, best, n_aut, identifiable in zip(
+                *census._classify_directed(dmask, n, simple_only)
+            ):
+                g = next(graphs)
+                assert g.directed == {p for k, p in enumerate(pairs) if dmask >> k & 1}
+                assert g.bidirected == {p for k, p in enumerate(pairs) if bmask >> k & 1}
+                key = census._key_of(n, edges, best)
+                assert (key, n_aut) == census._canonical(g)
+                assert (not dmask & bmask) == is_simple(g)
+                assert identifiable == (semident.criterion.find_violating_set(g) is None)
+                first.setdefault(key, (g, identifiable, n_aut))
+        assert next(graphs, None) is None
+        report = census_report(n, simple_only=simple_only, trials=0)
+        assert [row.key for row in report.rows] == list(first)
+        for row in report.rows:
+            g, identifiable, n_aut = first[row.key]
+            assert (row.directed, row.bidirected) == (
+                tuple(sorted(g.directed)),
+                tuple(sorted(g.bidirected)),
+            )
+            assert (row.simple, row.identifiable) == (is_simple(g), identifiable)
+            assert row.labeled_count == math.factorial(n) // n_aut
 
 
 def test_census_report_parallel_matches_serial():
@@ -302,15 +344,15 @@ def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch
             later = g  # not the first representative of its class
             break
         seen.add(key)
-    search = semident.census.find_violating_set
+    search = semident.census._violating_set
 
-    def flipped(g):
-        hit = search(g)
-        if g == later:
-            return ((1, 2), 2) if hit is None else None
+    def flipped(parents, siblings):
+        hit = search(parents, siblings)
+        if (parents, siblings) == (later._parents, later._siblings):
+            return (0b110, 2) if hit is None else None
         return hit
 
-    monkeypatch.setattr(semident.census, "find_violating_set", flipped)
+    monkeypatch.setattr(semident.census, "_violating_set", flipped)
     report = census_report(3, trials=1)
     edges = (tuple(sorted(later.directed)), tuple(sorted(later.bidirected)))
     assert report.disagreements == [(*edges, "verdict")]
@@ -475,6 +517,19 @@ def _lift(m, pos, a, fill):
     return out
 
 
+def _reference_skeleton(topo, to_topo, a):
+    """``witness._skeleton`` as it was before its memo: an induced subgraph and two BFS trees."""
+    sub, back_to_topo = induced_subgraph(topo, a)
+    arb, tree = (_bfs(adj, sub.m) for adj in (sub._parents, sub._siblings))
+    skeleton = MixedGraph(
+        m=sub.m,
+        directed={(v, w) for v, w in arb.items() if w is not None},
+        bidirected={(v, w) for v, w in tree.items() if w is not None},
+    )
+    to_orig = {new: old for old, new in to_topo.items()}
+    return skeleton, [to_orig[back_to_topo[k]] - 1 for k in range(1, sub.m + 1)]
+
+
 def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
     noninjective = [
         (g, topo, to_topo, hit)
@@ -493,8 +548,9 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
         ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
         assert (check.residual, check.separation) == (ref.residual, ref.separation)
         assert check.residual == 0 and check.separation != 0
+        skeleton, pos = witness._skeleton(topo, to_topo, hit[0])
+        assert (skeleton, pos) == _reference_skeleton(topo, to_topo, hit[0])
         # off the skeleton Lambda = 0 and Omega = I, and Sigma is the skeleton's in an identity
-        _, pos = witness._skeleton(topo, to_topo, hit[0])
         lam_a, omega_a, lam_b, omega_b = check.points
         lifted = (
             _lift(g.m, pos, lam_a, "zeros"),

@@ -1,6 +1,7 @@
 """Graph structure, validation, traversal, and serialization."""
 
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -352,11 +353,24 @@ def test_closure_queries_match_edge_scans(g, data):
         )
 
 
+def _scan_with_public_queries(g):
+    """``find_violating_set_exhaustive`` through the public subset queries, as it once ran."""
+    for size in range(g.m, 1, -1):
+        for subset in combinations(g.nodes, size):
+            if bidirected_connected(g, subset):
+                for y in subset:
+                    if has_converging_arborescence(g, subset, y):
+                        return subset, y
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(any_mixed_graphs(max_m=7, acyclic=True))
 def test_fixpoint_and_exhaustive_scan_agree_on_random_acyclic_graphs(g):
     hit = find_violating_set(g)
-    assert (hit is None) == (find_violating_set_exhaustive(g) is None)
+    exhaustive = find_violating_set_exhaustive(g)
+    assert exhaustive == _scan_with_public_queries(g)
+    assert (hit is None) == (exhaustive is None)
     if hit is not None:
         a, y = hit
         assert bidirected_connected(g, a)
