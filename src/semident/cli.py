@@ -215,18 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     default_backend = os.environ.get("SEMIDENT_BACKEND", "float")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, backend=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument(
-            "--backend",
-            choices=("float", "rational"),
-            default=default_backend,
-            help="arithmetic backend (default from SEMIDENT_BACKEND, else float)",
-        )
+        if backend:
+            p.add_argument(
+                "--backend",
+                choices=("float", "rational"),
+                default=default_backend,
+                help="arithmetic backend (default from SEMIDENT_BACKEND, else float)",
+            )
         return p
 
-    p = add("check", _cmd_check, help="decide global identifiability of a graph")
+    p = add("check", _cmd_check, backend=False, help="decide global identifiability of a graph")
     p.add_argument("graph", help="graph file (edge-list text or JSON)")
 
     p = add("invert", _cmd_invert, help="recover (Lambda, Omega) from a covariance")
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=_finite_float, default=1.0)
 
-    p = add("census", _cmd_census, help="enumerate and classify small graphs")
+    p = add("census", _cmd_census, backend=False, help="enumerate and classify small graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--simple-only", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -274,12 +275,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _error_json(exc: SemidentError) -> dict:
     """The error object of a domain error; an inversion step error adds its step
-    and, when it is a finite number, its residual."""
+    and, when it has one, its residual."""
     error = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, (RankDeficientStepError, InconsistentSystemError)):
         error["step"] = exc.step
         residual = getattr(exc, "residual", None)
-        if residual is not None and math.isfinite(residual):
+        if residual is not None:
             error["residual"] = residual
     return error
 

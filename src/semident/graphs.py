@@ -233,34 +233,6 @@ def relabel_topologically(g: MixedGraph) -> tuple[MixedGraph, dict]:
     return relabel(g, mapping), mapping
 
 
-def induced_subgraph(g: MixedGraph, nodes: Iterable[int]) -> tuple[MixedGraph, dict]:
-    """G_A with nodes relabeled 1..|A| ascending; returns (graph, new -> old map)."""
-    subset = sorted(set(nodes))
-    if not subset:
-        raise EmptySubsetError("induced subgraph of the empty set")
-    for v in subset:
-        if not 1 <= v <= g.m:
-            raise EmptySubsetError(f"node {v} outside 1..{g.m}")
-    to_new = {old: k + 1 for k, old in enumerate(subset)}
-    back = {k + 1: old for k, old in enumerate(subset)}
-    names = (
-        tuple(g.names[old - 1] for old in subset) if g.names is not None else None
-    )
-    sub = MixedGraph(
-        m=len(subset),
-        directed=frozenset(
-            (to_new[i], to_new[j]) for i, j in g.directed if i in to_new and j in to_new
-        ),
-        bidirected=frozenset(
-            (to_new[i], to_new[j])
-            for i, j in g.bidirected
-            if i in to_new and j in to_new
-        ),
-        names=names,
-    )
-    return sub, back
-
-
 def _members(mask: int) -> list:
     """The nodes of a mask, in ascending order."""
     nodes = []
@@ -322,11 +294,6 @@ def _bfs(adj: tuple, start: int, within: int = -1) -> dict:
             pred[w] = v
             queue.append(w)
     return pred
-
-
-def descendants(g: MixedGraph, i: int) -> set:
-    """Nodes reachable from i by directed paths (excluding i itself)."""
-    return set(_members(_closure(g._children, i) & ~(1 << i)))
 
 
 def is_ancestral(g: MixedGraph) -> bool:

@@ -18,10 +18,13 @@ And (I - Lambda)^{-1} grows by one column per step: column i+1 is e_{i+1}
 plus lambda_{k,i+1} times column k summed over the parents k in P(i), the
 path-sum recurrence of ``params.path_inverse``. No step inverts a matrix.
 
-``fiber_trace`` runs the same two step functions as ``invert`` (one solve,
-one state update). Only when a step is rank deficient by one does it follow
-the solution line in a parameter t through the later steps, exactly, in
-rational functions of t, and report the structure of the fiber.
+``invert`` and ``fiber_trace`` run one walk over the steps (``_walk``): one
+rank rule, the rank of the reduced matrix above, which is homogeneous in
+Sigma, and one ``InconsistentSystemError``, which carries the residual of a
+float step and none for an exact one. Only when a step is rank deficient by
+one does ``fiber_trace`` follow the solution line in a parameter t through
+the later steps, exactly, in rational functions of t, and report the
+structure of the fiber.
 """
 
 from __future__ import annotations
@@ -184,33 +187,59 @@ def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) ->
     return next(islice(_step_records(g, lam, omega), i - 1, None))
 
 
-def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the unique (Lambda, Omega) with forward image ``sigma``.
+def _require_consistent(res: linalg.SolveResult, i: int, scale: float) -> None:
+    """Raise ``InconsistentSystemError`` unless the step-i solve has a solution.
 
-    The backend follows the dtype of ``sigma``; on the rational backend the
-    round trip through the forward map is an exact identity.
+    A float solution counts when its residual is within
+    ``CONSISTENCY_REL_TOL * scale`` and the error carries that residual; an
+    exact system without a solution has no residual to report.
+    """
+    if res.solution is None:
+        raise InconsistentSystemError(i)
+    if res.residual > CONSISTENCY_REL_TOL * scale:
+        raise InconsistentSystemError(i, res.residual)
 
-    Raises:
-        RankDeficientStepError: a step system is underdetermined (the fiber
-            may contain more than one point; see ``fiber_trace``).
-        InconsistentSystemError: ``sigma`` is not in the model's image.
-        NotPositiveDefiniteError: the recovered Omega is not PD.
+
+def _walk(g: MixedGraph, sigma: np.ndarray):
+    """Run the inversion steps on ``sigma`` in its own backend.
+
+    Each step's rank is decided on its reduced matrix (``_step_record``),
+    which scales with Sigma as a whole; a full-rank step is solved and
+    checked by ``_require_consistent``. Returns (state, i): the state
+    (Lambda, Omega, (I - Lambda)^{-1}) as it stands before the first
+    rank-deficient step i, or after the last step with i = None when every
+    step was solved.
     """
     _require_topological(g)
-    backend = linalg.backend_of(sigma)
     state = lam, omega, inv = _initial_state(sigma)
     scale = max(1.0, linalg.max_abs(sigma))
     for i in range(1, g.m):
         p, s = _step_indices(g, i)
-        # rank decision on the reduced matrix, not the raw step system
         if not _step_record(omega, inv, p, s, i).passed:
-            raise RankDeficientStepError(i)
+            return state, i
         res = _step_solve(sigma, inv, p, s, i)
-        if res.solution is None or (
-            backend == "float" and res.residual > CONSISTENCY_REL_TOL * scale
-        ):
-            raise InconsistentSystemError(i, res.residual)
+        _require_consistent(res, i, scale)
         _step_update(sigma, state, p, s, i, res.solution)
+    return state, None
+
+
+def invert(g: MixedGraph, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recover the unique (Lambda, Omega) with forward image ``sigma``.
+
+    The backend follows the dtype of ``sigma``; on the rational backend the
+    round trip through the forward map is an exact identity. The steps are
+    ``_walk``'s, shared with ``fiber_trace``.
+
+    Raises:
+        RankDeficientStepError: a step system is underdetermined (the fiber
+            may contain more than one point; see ``fiber_trace``).
+        InconsistentSystemError: ``sigma`` is not in the model's image; a
+            float step reports its residual, an exact one none.
+        NotPositiveDefiniteError: the recovered Omega is not PD.
+    """
+    (lam, omega, _), i = _walk(g, sigma)
+    if i is not None:
+        raise RankDeficientStepError(i)
     _require_pd(omega)
     return lam, omega
 
@@ -259,9 +288,9 @@ def _unresolved(step: int, note: str) -> FiberDescription:
 def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
     """Describe the fiber of ``sigma`` under the forward map.
 
-    Runs the stepwise inversion of ``invert`` on ``sigma`` in its own
-    backend; a float step decides consistency as ``invert`` does. Without a
-    rank-deficient step the fiber is the single recovered point, and, as in
+    Runs ``invert``'s steps (``_walk``) on ``sigma`` in its own backend, with
+    the same rank rule and the same ``InconsistentSystemError``. Without a
+    rank-deficient step the fiber is ``invert``'s point, and, as in
     ``invert``, a recovered Omega that is not positive definite raises
     ``NotPositiveDefiniteError`` (the fiber is empty). A float trace that
     meets a deficient step starts over exactly, on ``sigma`` snapped to
@@ -270,24 +299,18 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
     t, and only then is the rest of the inversion followed in rational
     functions of t (see ``_follow_line``).
     """
-    _require_topological(g)
-    state = lam, omega, inv = _initial_state(sigma)
-    scale = max(1.0, linalg.max_abs(sigma))
-    for i in range(1, g.m):
-        p, s = _step_indices(g, i)
-        res = _step_solve(sigma, inv, p, s, i)
-        # the rational solve reports an inconsistent system as residual inf
-        if res.residual > CONSISTENCY_REL_TOL * scale:
-            raise InconsistentSystemError(i)
-        if res.nullspace and linalg.backend_of(sigma) == "float":
-            return fiber_trace(g, _exact_sigma(sigma))
-        if len(res.nullspace) > 1:
-            return _unresolved(i, "deficiency exceeds one")
-        if res.nullspace:
-            return _follow_line(g, sigma, state, i, res)
-        _step_update(sigma, state, p, s, i, res.solution)
-    _require_pd(omega)
-    return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
+    state, i = _walk(g, sigma)
+    lam, omega, inv = state
+    if i is None:
+        _require_pd(omega)
+        return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
+    if linalg.backend_of(sigma) == "float":
+        return fiber_trace(g, _exact_sigma(sigma))
+    res = _step_solve(sigma, inv, *_step_indices(g, i), i)
+    _require_consistent(res, i, max(1.0, linalg.max_abs(sigma)))
+    if len(res.nullspace) > 1:
+        return _unresolved(i, "deficiency exceeds one")
+    return _follow_line(g, sigma, state, i, res)
 
 
 def _follow_line(g: MixedGraph, sigma, state, deficient_step: int, res):
@@ -339,8 +362,10 @@ def _follow_line(g: MixedGraph, sigma, state, deficient_step: int, res):
     points = []
     for r in _real_roots(f):
         lam_f, omg_f = (linalg.as_float(_value(a, r)) for a in (lam, omega))
-        residual = linalg.max_abs_diff(phi(g, lam_f, omg_f), linalg.as_float(sigma))
-        if linalg.is_pd(omg_f) and residual <= 1e-9 * scale:
+        # phi refuses an Omega that is not PD: test that first
+        if linalg.is_pd(omg_f) and (
+            linalg.max_abs_diff(phi(g, lam_f, omg_f), linalg.as_float(sigma)) <= 1e-9 * scale
+        ):
             points.append((lam_f, omg_f))
     if not points:
         raise InconsistentSystemError(deficient_step)
@@ -483,6 +508,10 @@ def _real_roots(f: tuple) -> list[Fraction]:
     """
     if len(f) < 2:
         return []
+    if not f[0]:
+        # the root 0 exactly, and the others from f / t: bisection cannot
+        # snap a root to the grid 1/den when den is large
+        return sorted([Fraction(0), *_real_roots(f[1:])])
     seq = [f, _derivative(f)]
     while len(seq[-1]) > 1:
         seq.append(tuple(-c for c in _pdivmod(seq[-2], seq[-1])[1]))

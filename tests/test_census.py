@@ -29,7 +29,6 @@ from semident.errors import SemidentError, SupportViolationError
 from semident.graphs import (
     MixedGraph,
     _bfs,
-    induced_subgraph,
     is_simple,
     relabel,
     relabel_topologically,
@@ -517,9 +516,20 @@ def _lift(m, pos, a, fill):
     return out
 
 
+def _induced_subgraph(g, nodes):
+    """G_A with nodes relabeled 1..|A| ascending, and the map new -> old."""
+    back = dict(enumerate(sorted(nodes), 1))
+    to_new = {old: new for new, old in back.items()}
+
+    def inside(edges):
+        return {(to_new[i], to_new[j]) for i, j in edges if i in to_new and j in to_new}
+
+    return MixedGraph(m=len(back), directed=inside(g.directed), bidirected=inside(g.bidirected)), back
+
+
 def _reference_skeleton(topo, to_topo, a):
     """``witness._skeleton`` as it was before its memo: an induced subgraph and two BFS trees."""
-    sub, back_to_topo = induced_subgraph(topo, a)
+    sub, back_to_topo = _induced_subgraph(topo, a)
     arb, tree = (_bfs(adj, sub.m) for adj in (sub._parents, sub._siblings))
     skeleton = MixedGraph(
         m=sub.m,

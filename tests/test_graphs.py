@@ -22,12 +22,10 @@ from semident.graphs import (
     MixedGraph,
     _bfs,
     bidirected_connected,
-    descendants,
     find_directed_cycle,
     graph_to_json,
     graph_to_text,
     has_converging_arborescence,
-    induced_subgraph,
     is_ancestral,
     is_simple,
     parse_graph,
@@ -135,17 +133,8 @@ def test_relabel_topologically_moves_names_with_their_nodes():
         assert topo.name_of(new) == g.name_of(old)
 
 
-def test_induced_subgraph(iv_graph):
-    sub, back = induced_subgraph(iv_graph, {2, 3})
-    assert sub.m == 2
-    assert sub.directed == frozenset({(1, 2)})
-    assert sub.bidirected == frozenset({(1, 2)})
-    assert back == {1: 2, 2: 3}
-
-
-def test_descendants_and_siblings_below():
+def test_siblings_below():
     g = MixedGraph(m=4, directed={(1, 2), (2, 3)}, bidirected={(1, 4), (3, 4)})
-    assert descendants(g, 1) == {2, 3}
     assert siblings_below(g, 3) == frozenset({1, 3})
 
 
@@ -272,11 +261,6 @@ def _scan_reach(steps, start, within=None):
     return seen
 
 
-def _scan_descendants(g, i):
-    """Directed reachability from i by repeated scans of the edge set."""
-    return _scan_reach(g.directed, i) - {i}
-
-
 def _sorted_frozenset_walk(step, start, within=None):
     """Breadth-first walk along ``step(node)`` (a frozenset), as ``graphs._bfs``
     walked before adjacency was stored as bitmasks: FIFO, ascending neighbours."""
@@ -304,7 +288,6 @@ def test_adjacency_index_matches_edge_scan(g):
         assert g.siblings(i) == frozenset(
             (a if b == i else b) for a, b in g.bidirected if i in (a, b)
         )
-        assert descendants(g, i) == _scan_descendants(g, i)
         if i < g.m:
             assert siblings_below(g, i) == frozenset(
                 j for j in range(1, i + 1) if g.has_bidirected(j, i + 1)

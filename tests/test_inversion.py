@@ -274,6 +274,28 @@ def test_real_roots_are_exact_when_rational_and_within_width_otherwise(roots, sq
         assert (abs(r) - w) ** 2 < 2 < (abs(r) + w) ** 2
 
 
+def test_real_roots_take_a_root_at_zero_exactly():
+    # t^2 + c t with a denominator of c far below bisection's 2**-64 grid
+    c = Fraction(3, 4 * 10**33 + 1)
+    low, zero = _real_roots((Fraction(0), c, Fraction(1)))
+    assert zero == 0
+    assert abs(low + c) <= Fraction(1, 2**64)
+    assert _real_roots((Fraction(0), Fraction(1))) == [0]
+
+
+def test_float_trace_with_a_pole_at_zero_is_a_family():
+    g = MixedGraph(
+        m=4, directed={(1, 2), (2, 3), (1, 4)}, bidirected={(1, 2), (1, 3), (3, 4), (1, 4)}
+    )
+    sigma = phi(g, *sample_parameters(g, 11))
+    desc = fiber_trace(g, sigma)
+    assert (desc.kind, desc.deficient_step) == ("family", 1)
+    assert desc.family.interval == (-np.inf, 0.0)
+    for t in (-1e-3, -0.5, -2.0):
+        lam, omega = desc.family.evaluate(t)
+        assert linalg.max_abs_diff(phi(g, lam, omega), sigma) < 1e-12
+
+
 def test_float_trace_of_chain_is_the_inverted_point_bit_for_bit():
     # three equations for two unknowns at step 2: decided with invert's
     # tolerance, not on a snapped rational copy that misses the image
@@ -337,8 +359,20 @@ def test_singleton_trace_point_is_the_inverted_point_bit_for_bit():
         assert omega_t.tobytes() == linalg.as_float(omega).tobytes()
 
 
+def _outcome(call, g, sigma):
+    """(value, None) when ``call(g, sigma)`` returns, (None, error) on a domain error."""
+    try:
+        return call(g, sigma), None
+    except SemidentError as exc:
+        return None, exc
+
+
+def _error_key(exc):
+    return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "residual", None)
+
+
 @pytest.mark.parametrize("backend", linalg.BACKENDS)
-def test_trace_off_image_sigma_is_inconsistent_without_residual(backend):
+def test_trace_and_invert_raise_equal_inconsistency_errors(backend):
     # empty graph: any correlation is off-image at step 1
     cases = [(MixedGraph(m=2), linalg.to_array([[2, 1], [1, 2]], backend), 1)]
     # chain 1 -> 2 -> 3: a moved sigma_13 contradicts step 2's two equations
@@ -347,11 +381,92 @@ def test_trace_off_image_sigma_is_inconsistent_without_residual(backend):
     sigma[0, 2] = sigma[2, 0] = sigma[0, 2] + 1
     cases.append((chain, sigma, 2))
     for g, sigma, step in cases:
-        with pytest.raises(InconsistentSystemError) as exc:
-            fiber_trace(g, sigma)
-        assert exc.value.step == step
-        assert exc.value.residual is None
-        assert str(exc.value) == f"inversion step {step} is inconsistent"
+        errors = [_outcome(call, g, sigma)[1] for call in (invert, fiber_trace)]
+        assert _error_key(errors[0]) == _error_key(errors[1])
+        exc = errors[0]
+        assert isinstance(exc, InconsistentSystemError)
+        assert exc.step == step
+        # a float step reports its residual; an exact one has none
+        assert (exc.residual is None) == (backend == "rational")
+        suffix = "" if exc.residual is None else f" (residual {exc.residual:.3g})"
+        assert str(exc) == f"inversion step {step} is inconsistent{suffix}"
+
+
+def test_float_trace_decides_rank_as_invert_does_at_any_scale():
+    # the raw step system [Sigma_{[i],P} | (I - Lambda)^{-T}_{[i],S}] mixes a
+    # block that scales with Sigma and one that does not; its SVD saw a
+    # false deficiency here, and the trace answered 'unresolved'
+    g = MixedGraph(m=3, directed={(1, 2), (2, 3)}, bidirected={(1, 3)})
+    sigma = phi(g, *sample_parameters(g, 544915)) * 1e-12
+    desc = fiber_trace(g, sigma)
+    assert (desc.kind, desc.deficient_step) == ("singleton", None)
+    [(lam_t, omega_t)] = desc.points
+    lam, omega = invert(g, sigma)
+    assert lam_t.tobytes() == lam.tobytes()
+    assert omega_t.tobytes() == omega.tobytes()
+
+
+def test_trace_skips_a_root_whose_omega_is_not_pd():
+    # off the image: step 2 is deficient and the one root of the constraints
+    # has an Omega that is not PD, which phi refuses, so it is tested first
+    g = MixedGraph(m=4, directed={(1, 3)}, bidirected={(1, 3), (1, 4)})
+    f = Fraction
+    sigma = linalg.to_array(
+        [
+            [f(13, 4), 0, f(147, 32), f(-1, 2)],
+            [0, 1, 0, 0],
+            [f(147, 32), 0, f(1157, 256), f(-3, 16)],
+            [f(-1, 2), 0, f(-3, 16), f(3, 2)],
+        ],
+        "rational",
+    )
+    with pytest.raises(RankDeficientStepError):
+        invert(g, sigma)
+    with pytest.raises(InconsistentSystemError) as exc:
+        fiber_trace(g, sigma)
+    assert str(exc.value) == "inversion step 2 is inconsistent"
+
+
+def _walk_cases(rng, count):
+    """(graph, backend, sigma) on random upper-triangular graphs with m <= 7:
+    image points, float ones scaled by 1 and 1e+-6, 1e+-12, and moved copies."""
+    for _ in range(count):
+        g = _random_graph(rng, rng.randint(2, 7), p_dir=rng.random(), p_bi=rng.random())
+        seed = rng.randint(0, 10**6)
+        exact = phi(g, *sample_parameters(g, seed, backend="rational"))
+        sigmas = [("rational", exact)]
+        point = phi(g, *sample_parameters(g, seed))
+        sigmas += [("float", point * c) for c in (1.0, 1e6, 1e-6, 1e12, 1e-12)]
+        i, j = sorted(rng.sample(range(g.m), 2))
+        for backend, sigma in sigmas[:2]:
+            moved = sigma.copy()
+            moved[i, j] = moved[j, i] = moved[i, j] + sigma[i, i] / 2
+            sigmas.append((backend, moved))
+        for backend, sigma in sigmas:
+            yield g, backend, sigma
+
+
+def test_invert_and_trace_walk_the_same_steps():
+    for g, backend, sigma in _walk_cases(random.Random(18), 40):
+        point, error = _outcome(invert, g, sigma)
+        desc, trace_error = _outcome(fiber_trace, g, sigma)
+        solved = error is None or isinstance(error, NotPositiveDefiniteError)
+        plain = desc is not None and (desc.kind, desc.deficient_step) == ("singleton", None)
+        assert solved == (plain or isinstance(trace_error, NotPositiveDefiniteError)), g
+        if error is None:
+            lam, omega = (linalg.as_float(a) for a in point)
+            [(lam_t, omega_t)] = desc.points
+            assert lam_t.tobytes() == lam.tobytes()
+            assert omega_t.tobytes() == omega.tobytes()
+        elif not isinstance(error, RankDeficientStepError):
+            # inconsistent, or not PD after every step: the same error
+            assert desc is None and _error_key(trace_error) == _error_key(error), g
+        elif backend == "rational":
+            # the exact trace goes on from invert's deficient step
+            if desc is not None:
+                assert desc.deficient_step == error.step, g
+            elif isinstance(trace_error, InconsistentSystemError):
+                assert trace_error.step == error.step, g
 
 
 @pytest.mark.parametrize("backend", linalg.BACKENDS)
