@@ -11,7 +11,10 @@ verdict must agree with the verdict of its isomorphism class. Injectivity is
 invariant under relabelling, so each class is then checked once against an
 oracle built from the exhaustive induced-subgraph scan, random-point rank
 conditions and an explicit witness built on the scan's own violating set.
-The oracle shares nothing with the fixpoint search. Any disagreement is a
+The random points of a class come from one block of uniforms, drawn by a
+generator seeded with a hash of the class's canonical key, so they do not
+depend on the order or the process in which classes are checked. The
+oracle shares nothing with the fixpoint search. Any disagreement is a
 build-failing event. ``enumerate_graphs`` and ``canonical_form`` also go to
 six nodes; ``census_report`` and the oracle stop at five.
 """
@@ -22,6 +25,7 @@ import hashlib
 import io
 import math
 import os
+import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -36,7 +40,7 @@ from .criterion import _violating_set, find_violating_set_exhaustive
 from .errors import SemidentError, SupportViolationError
 from .graphs import MixedGraph, relabel_topologically
 from .inversion import _step_records
-from .params import phi, sample_parameters
+from .params import phi
 
 #: hard cap on census node counts
 MAX_N = 6
@@ -190,7 +194,10 @@ def _mask_tables(n: int) -> _MaskTables:
 
 
 def _seed_from_key(key: tuple) -> int:
-    """Probe seed base of a class; probe k samples at ``_seed_from_key(key) ^ k``."""
+    """Probe seed of a class: the first 8 bytes of the SHA-256 of ``repr(key)``.
+
+    One hash per class; ``_probe_points`` seeds its one draw with it.
+    """
     digest = hashlib.sha256(repr(key).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -241,16 +248,20 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
 
     Runs the exhaustive induced-subgraph scan. An injective answer is backed
     by rank conditions at Lambda = 0, Omega = I and at ``trials`` random
-    parameter points: the points are stacked and walk the inversion steps
-    together, one batched rank decision per step. A noninjective answer is
-    backed by an explicit witness pair built inside the set the scan found:
-    the pair and its exact check are memoized per skeleton within the
-    process, and each class checks that the skeleton's edges map onto its
-    own (see ``_oracle_witness``).
-    Internal failures raise rather than silently passing.
+    parameter points, drawn in one block per class (``_probe_points``): the
+    points are stacked and walk the inversion steps together, one batched
+    rank decision per step. A noninjective answer is backed by an explicit
+    witness pair built inside the set the scan found: the pair and its exact
+    check are memoized per skeleton within the process, and each class
+    checks that the skeleton's edges map onto its own (see
+    ``_oracle_witness``).
+    Internal failures raise rather than silently passing, and so does a
+    negative ``trials``.
     """
     if g.m > 5:
         raise SemidentError("injectivity oracle supports m <= 5")
+    if trials < 0:
+        raise SemidentError(f"injectivity oracle needs trials >= 0, got {trials}")
     topo, to_topo = relabel_topologically(g)
     hit = find_violating_set_exhaustive(topo)
     if hit is None:
@@ -272,14 +283,30 @@ def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVer
 def _probe_points(topo: MixedGraph, key: tuple, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's float probe points as stacks ``(trials + 1, m, m)`` of Lambda and Omega.
 
-    Point 0 is Lambda = 0, Omega = I; point k + 1 is ``sample_parameters``
-    at the seed ``_seed_from_key(key) ^ k``.
+    Point 0 is Lambda = 0, Omega = I. The other ``trials`` points come from
+    one draw of a ``random.Random`` seeded at ``_seed_from_key(key)``: one
+    block of 53-bit uniforms on [-1, 1), one row per point, each row holding
+    the directed edges' entries and then the bidirected edges', in sorted
+    edge order. Index arrays scatter the block into the stacks, Omega
+    symmetric, and every diagonal entry of Omega is 1 plus its row's absolute
+    sum, so each Omega is strictly diagonally dominant and positive definite
+    (``sample_parameters``' rule).
     """
-    base = _seed_from_key(key)
-    points = [(linalg.zeros(topo.m, topo.m, "float"), linalg.identity(topo.m, "float"))]
-    points += [sample_parameters(topo, base ^ k) for k in range(trials)]
-    lams, omegas = zip(*points)
-    return np.stack(lams), np.stack(omegas)
+    m = topo.m
+    edges = np.array(sorted(topo.directed) + sorted(topo.bidirected), dtype=np.intp)
+    rows, cols = edges.reshape(-1, 2).T - 1
+    n_dir = len(topo.directed)
+    rng = random.Random(_seed_from_key(key))
+    bits = np.frombuffer(rng.randbytes(8 * trials * len(edges)), dtype="<u8") >> np.uint64(11)
+    draws = (bits * 2.0**-52 - 1.0).reshape(trials, len(edges))
+    lam = np.zeros((trials + 1, m, m))
+    omega = np.zeros((trials + 1, m, m))
+    lam[1:, rows[:n_dir], cols[:n_dir]] = draws[:, :n_dir]
+    omega[1:, rows[n_dir:], cols[n_dir:]] = draws[:, n_dir:]
+    omega[1:, cols[n_dir:], rows[n_dir:]] = draws[:, n_dir:]
+    diag = np.arange(m)
+    omega[:, diag, diag] = 1.0 + np.abs(omega).sum(axis=2)
+    return lam, omega
 
 
 def _oracle_witness(g: MixedGraph, topo: MixedGraph, to_topo: dict, a: tuple) -> SkeletonWitness:

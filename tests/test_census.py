@@ -426,45 +426,78 @@ def test_batched_probe_ranks_match_per_point_ranks(classes_up_to_four):
         _per_point_ranks_match_batched(relabel_topologically(g)[0], canonical_form(g))
 
 
-def test_probe_seeds_match_one_hash_per_probe(monkeypatch, classes_up_to_four):
-    seeds = []
-    sample = semident.census.sample_parameters
+def _reference_probe_points(topo, key, trials):
+    """``census._probe_points`` as a loop over points and edges: 64 random bits
+    per entry, cut to 53, mapped onto [-1, 1)."""
+    seed = int.from_bytes(hashlib.sha256(repr(key).encode()).digest()[:8], "big")
+    rng = random.Random(seed)
+    m = topo.m
+    lam, omega = np.zeros((trials + 1, m, m)), np.zeros((trials + 1, m, m))
+    for k in range(1, trials + 1):
+        for kind, edges in (("d", topo.directed), ("b", topo.bidirected)):
+            for i, j in sorted(edges):
+                v = (rng.getrandbits(64) >> 11) * 2.0**-52 - 1.0
+                if kind == "d":
+                    lam[k, i - 1, j - 1] = v
+                else:
+                    omega[k, i - 1, j - 1] = omega[k, j - 1, i - 1] = v
+    for k in range(trials + 1):
+        for i in range(m):
+            omega[k, i, i] = 1.0 + sum(abs(omega[k, i, j]) for j in range(m))
+    return lam, omega
 
-    def recording(g, seed):
-        seeds.append(seed)
-        return sample(g, seed)
 
-    monkeypatch.setattr(semident.census, "sample_parameters", recording)
+def test_probe_points_are_one_valid_draw_per_class(classes_up_to_four):
     checked = 0
-    for key, g, _, _, hit in classes_up_to_four:
-        if hit is None and g.m == 4:
-            seeds.clear()
-            injectivity_oracle(g)
-            # the seed of probe k as it was once computed: one SHA-256 per probe
-            expected = [
-                int.from_bytes(hashlib.sha256(repr(key).encode()).digest()[:8], "big") ^ k
-                for k in range(DEFAULT_TRIALS)
-            ]
-            assert seeds == expected
-            checked += 1
-    assert checked == 190
+    for key, _, topo, _, hit in classes_up_to_four:
+        if hit is not None:
+            continue
+        m = topo.m
+        lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
+        again = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
+        assert np.array_equal(lam, again[0]) and np.array_equal(omega, again[1])
+        assert lam.shape == omega.shape == (DEFAULT_TRIALS + 1, m, m)
+        assert not lam[0].any() and np.array_equal(omega[0], np.eye(m))
+        on_lam = np.zeros((m, m), dtype=bool)
+        for i, j in topo.directed:
+            on_lam[i - 1, j - 1] = True
+        on_omega = np.eye(m, dtype=bool)
+        for i, j in topo.bidirected:
+            on_omega[i - 1, j - 1] = on_omega[j - 1, i - 1] = True
+        assert not lam[:, ~on_lam].any() and not omega[:, ~on_omega].any()
+        assert np.all(np.abs(lam) <= 1) and np.array_equal(omega, omega.transpose(0, 2, 1))
+        # strict diagonal dominance, hence positive definiteness
+        off = np.abs(omega).sum(axis=2) - np.abs(np.diagonal(omega, axis1=1, axis2=2))
+        assert np.all(np.diagonal(omega, axis1=1, axis2=2) > off)
+        ref = _reference_probe_points(topo, key, DEFAULT_TRIALS)
+        assert np.array_equal(lam, ref[0]) and np.array_equal(omega, ref[1])
+        lam0, omega0 = semident.census._probe_points(topo, key, 0)
+        assert np.array_equal(lam0, lam[:1]) and np.array_equal(omega0, omega[:1])
+        checked += 1
+    assert checked == 209  # the injective classes on n <= 4, 190 of them at n = 4
+
+
+def _degenerate_probes(monkeypatch, rows):
+    """Rebind ``census._probe_points`` so that stack row k gets Lambda = 0 and
+    ``rows[k]`` as Omega, the other rows as drawn."""
+    probe = semident.census._probe_points
+
+    def degenerate(topo, key, trials):
+        lam, omega = probe(topo, key, trials)
+        for k, om in rows.items():
+            lam[k], omega[k] = 0.0, om
+        return lam, omega
+
+    monkeypatch.setattr(semident.census, "_probe_points", degenerate)
 
 
 def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
     g = MixedGraph(m=4, directed={(1, 2), (2, 3), (3, 4)})  # a chain: injective
     key = canonical_form(g)
     topo, _ = relabel_topologically(g)
-    base = semident.census._seed_from_key(key)
-    # probe 3 loses rank at step 3 only (omega_33 = 0), probe 6 already at step 1
-    degenerate = {
-        base ^ 3: (np.zeros((4, 4)), np.diag([1.0, 1.0, 0.0, 1.0])),
-        base ^ 6: (np.zeros((4, 4)), np.zeros((4, 4))),
-    }
-    sample = semident.census.sample_parameters
-    monkeypatch.setattr(
-        semident.census,
-        "sample_parameters",
-        lambda topo, seed: degenerate[seed] if seed in degenerate else sample(topo, seed),
+    # point 4 loses rank at step 3 only (omega_33 = 0), point 7 already at step 1
+    _degenerate_probes(
+        monkeypatch, {4: np.diag([1.0, 1.0, 0.0, 1.0]), 7: np.zeros((4, 4))}
     )
     # the oracle's loop before the points were stacked: point by point, step by step
     lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
@@ -484,17 +517,9 @@ def test_first_failing_probe_names_its_own_step(monkeypatch):
     g = MixedGraph(m=4, directed={(1, 2), (2, 3), (3, 4)})  # a chain: injective
     key = canonical_form(g)
     topo, _ = relabel_topologically(g)
-    base = semident.census._seed_from_key(key)
-    # probe 2 loses rank at step 3 only, the later probe 7 at step 2 only
-    degenerate = {
-        base ^ 2: (np.zeros((4, 4)), np.diag([1.0, 1.0, 0.0, 1.0])),
-        base ^ 7: (np.zeros((4, 4)), np.diag([1.0, 0.0, 1.0, 1.0])),
-    }
-    sample = semident.census.sample_parameters
-    monkeypatch.setattr(
-        semident.census,
-        "sample_parameters",
-        lambda topo, seed: degenerate[seed] if seed in degenerate else sample(topo, seed),
+    # point 3 loses rank at step 3 only, the later point 8 at step 2 only
+    _degenerate_probes(
+        monkeypatch, {3: np.diag([1.0, 1.0, 0.0, 1.0]), 8: np.diag([1.0, 0.0, 1.0, 1.0])}
     )
     lam, omega = semident.census._probe_points(topo, key, DEFAULT_TRIALS)
     failures = [
@@ -507,6 +532,13 @@ def test_first_failing_probe_names_its_own_step(monkeypatch):
     with pytest.raises(SemidentError) as exc:
         injectivity_oracle(g)
     assert str(exc.value) == "subset scan says injective but rank fails at step 3"
+
+
+def test_oracle_rejects_negative_trials():
+    g = MixedGraph(m=3, directed={(1, 2), (2, 3)})  # a chain: injective
+    with pytest.raises(SemidentError, match="needs trials >= 0, got -5"):
+        injectivity_oracle(g, trials=-5)
+    assert injectivity_oracle(g, trials=0).evidence == "rank conditions at 1 points"
 
 
 def _lift(m, pos, a, fill):
