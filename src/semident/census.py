@@ -8,9 +8,17 @@ work unit per directed part takes every bidirected part's canonical key,
 |Aut| and fixpoint verdict from tables built once per node count
 (``_mask_tables``), and builds no graph object. Every representative's
 verdict must agree with the verdict of its isomorphism class. Injectivity is
-invariant under relabelling, so each class is then checked once against an
-oracle built from the exhaustive induced-subgraph scan, random-point rank
+invariant under relabelling, so pass 2 then checks each class once, on the
+key and masks pass 1 kept for its first representative, against an oracle
+built from the exhaustive induced-subgraph scan, random-point rank
 conditions and an explicit witness built on the scan's own violating set.
+The oracle kernel (``_oracle``) runs on the adjacency masks of the same
+tables: representatives already carry topological labels, so nothing is
+relabeled or keyed again. It builds a graph object only for an injective
+class's step walk and for a skeleton the witness memo has not met yet; the
+memo is keyed by the skeleton's own edges, so labeled violating sets with
+one skeleton share an entry. ``injectivity_oracle``, the public entry for
+any labeling, relabels and keys its graph and runs the same kernel.
 The random points of a class come from one block of uniforms, drawn by a
 generator seeded with a hash of the class's canonical key, so they do not
 depend on the order or the process in which classes are checked. The
@@ -36,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, witness
-from .criterion import _violating_set, find_violating_set_exhaustive
+from .criterion import _exhaustive_set, _violating_set
 from .errors import SemidentError, SupportViolationError
 from .graphs import MixedGraph, relabel_topologically
 from .inversion import _step_records
@@ -150,9 +158,10 @@ def _key_of(n: int, edges: tuple, best: int) -> tuple:
 
 
 class _MaskTables(NamedTuple):
-    """Census pass 1's tables for one node count; see ``_mask_tables``."""
+    """The census's tables for one node count; see ``_mask_tables``."""
 
     pairs: tuple
+    edges: tuple
     directed: np.ndarray
     bidirected: np.ndarray
     parents: tuple
@@ -161,9 +170,10 @@ class _MaskTables(NamedTuple):
 
 @cache
 def _mask_tables(n: int) -> _MaskTables:
-    """Pass 1's tables over the upper-triangular pairs of 1..n, indexed by pair mask.
+    """The census's tables over the upper-triangular pairs of 1..n, indexed by pair mask.
 
-    Bit k of a pair mask stands for ``pairs[k]``. Row ``mask`` of ``directed``
+    Bit k of a pair mask stands for ``pairs[k]``, and ``edges[mask]`` lists
+    the pairs of ``mask`` in order. Row ``mask`` of ``directed``
     holds, per permutation of ``_permutation_table(n)``, the image mask of the
     directed edges of ``mask``, and row ``mask`` of ``bidirected`` that of its
     bidirected edges: one 0/1 matrix product with the table rows of the pairs
@@ -179,10 +189,11 @@ def _mask_tables(n: int) -> _MaskTables:
     bits = np.array([[mask >> k & 1 for k in range(len(pairs))] for mask in masks], dtype=np.int64)
     directed = bits @ table[[row["d", p] for p in pairs]]
     bidirected = bits @ table[[row["b", p] for p in pairs]]
+    edges = tuple(_pairs_of(pairs, mask) for mask in masks)
     parents, siblings = [], []
-    for mask in masks:
+    for mask_edges in edges:
         par, sib = [0] * (n + 1), [0] * (n + 1)
-        for i, j in _pairs_of(pairs, mask):
+        for i, j in mask_edges:
             par[j] |= 1 << i
             sib[i] |= 1 << j
             sib[j] |= 1 << i
@@ -190,7 +201,7 @@ def _mask_tables(n: int) -> _MaskTables:
         siblings.append(tuple(sib))
     for a in (directed, bidirected):
         a.flags.writeable = False
-    return _MaskTables(pairs, directed, bidirected, tuple(parents), tuple(siblings))
+    return _MaskTables(pairs, edges, directed, bidirected, tuple(parents), tuple(siblings))
 
 
 def _seed_from_key(key: tuple) -> int:
@@ -218,13 +229,17 @@ class SkeletonWitness(NamedTuple):
 
 
 @cache
-def _skeleton_witness(skeleton: MixedGraph) -> SkeletonWitness:
+def _skeleton_witness(m: int, directed: tuple, bidirected: tuple) -> SkeletonWitness:
     """The memoized witness check of one skeleton, shared by every class that has it.
 
-    ``phi`` checks each point's support, symmetry and positive definiteness
-    on the skeleton. A pure function of the skeleton's edges; at most a few
+    The skeleton is given by its edges in local labels 1..m, as
+    ``witness._skeleton_trees`` returns them, so every labeled violating set
+    with one skeleton shares an entry, and the skeleton's ``MixedGraph`` is
+    built here only, on a miss. ``phi`` checks each point's support,
+    symmetry and positive definiteness on the skeleton. At most a few
     thousand entries per process, since m <= 5.
     """
+    skeleton = MixedGraph(m=m, directed=directed, bidirected=bidirected)
     points = witness._skeleton_points(skeleton, "rational")
     sigma_a = phi(skeleton, *points[:2])
     sigma_b = phi(skeleton, *points[2:])
@@ -246,33 +261,52 @@ class OracleVerdict:
 def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVerdict:
     """Decide injectivity without the fixpoint search.
 
-    Runs the exhaustive induced-subgraph scan. An injective answer is backed
-    by rank conditions at Lambda = 0, Omega = I and at ``trials`` random
-    parameter points, drawn in one block per class (``_probe_points``): the
-    points are stacked and walk the inversion steps together, one batched
-    rank decision per step. A noninjective answer is backed by an explicit
-    witness pair built inside the set the scan found: the pair and its exact
-    check are memoized per skeleton within the process, and each class
-    checks that the skeleton's edges map onto its own (see
-    ``_oracle_witness``).
-    Internal failures raise rather than silently passing, and so does a
-    negative ``trials``.
+    Accepts any labeling of an acyclic graph on at most five nodes. The
+    graph is relabeled topologically, keyed by ``canonical_form`` and handed
+    as pair masks to the oracle kernel ``_oracle``, the one the census runs
+    on its pass-1 masks, so both reach the same kind of evidence: rank
+    conditions at ``trials + 1`` points for an injective graph, an exact
+    witness pair for a noninjective one. Internal failures raise rather than
+    silently passing, and so does a negative ``trials``.
     """
     if g.m > 5:
         raise SemidentError("injectivity oracle supports m <= 5")
     if trials < 0:
         raise SemidentError(f"injectivity oracle needs trials >= 0, got {trials}")
-    topo, to_topo = relabel_topologically(g)
-    hit = find_violating_set_exhaustive(topo)
+    topo, _ = relabel_topologically(g)
+    bit = {pair: 1 << k for k, pair in enumerate(_mask_tables(g.m).pairs)}
+    dmask = sum(bit[e] for e in topo.directed)
+    bmask = sum(bit[e] for e in topo.bidirected)
+    return _oracle(canonical_form(g), g.m, dmask, bmask, trials)
+
+
+def _oracle(key: tuple, n: int, dmask: int, bmask: int, trials: int) -> OracleVerdict:
+    """The oracle kernel on the upper-triangular graph ``(dmask, bmask)`` of ``_mask_tables(n)``.
+
+    ``key`` is the graph's canonical key. Runs the exhaustive
+    induced-subgraph scan on the tables' adjacency masks. An injective
+    answer is backed by rank conditions at Lambda = 0, Omega = I and at
+    ``trials`` random parameter points, drawn in one block seeded by the key
+    (``_probe_points``): the points are stacked and walk the inversion steps
+    together, one batched rank decision per step. That walk is the only
+    place a ``MixedGraph`` is built for the graph. A noninjective answer is
+    backed by an explicit witness pair built inside the set the scan found,
+    checked once per skeleton (``_mask_witness``). Internal failures raise
+    rather than silently passing.
+    """
+    tables = _mask_tables(n)
+    parents, siblings = tables.parents[dmask], tables.siblings[bmask]
+    hit = _exhaustive_set(parents, siblings)
     if hit is None:
-        lam, omega = _probe_points(topo, canonical_form(g), trials)
+        topo = MixedGraph(m=n, directed=tables.edges[dmask], bidirected=tables.edges[bmask])
+        lam, omega = _probe_points(topo, key, trials)
         records = list(_step_records(topo, lam, omega))
         if not all(rec.passed.all() for rec in records):
             # report point by point, each step in order
             step = next(rec.step for k in range(len(lam)) for rec in records if not rec.passed[k])
             raise SemidentError(f"subset scan says injective but rank fails at step {step}")
         return OracleVerdict(True, f"rank conditions at {len(lam)} points")
-    pair = _oracle_witness(g, topo, to_topo, hit[0])
+    pair = _mask_witness(parents, siblings, hit[0])
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
     return OracleVerdict(
@@ -309,29 +343,29 @@ def _probe_points(topo: MixedGraph, key: tuple, trials: int) -> tuple[np.ndarray
     return lam, omega
 
 
-def _oracle_witness(g: MixedGraph, topo: MixedGraph, to_topo: dict, a: tuple) -> SkeletonWitness:
-    """The memoized skeleton check of ``witness_from_set(g, topo, to_topo, a, "rational")``.
+def _mask_witness(parents: tuple, siblings: tuple, a: int) -> SkeletonWitness:
+    """The memoized skeleton check of the witness pair built inside the violating set ``a``.
 
-    Off the skeleton the lifted points take Lambda = 0 and Omega = I, so the
-    lifted I - Lambda is a permuted block diagonal diag(I - Lambda_s, I):
-    the covariance on ``g`` is the skeleton's embedded in an identity, the
-    lifted Omega is positive definite exactly when the skeleton's is, and
-    residual and separation are the skeleton's. What is left to check on
-    ``g`` is support: every skeleton edge must map onto an edge of ``g`` of
-    the same kind, or ``SupportViolationError`` is raised.
+    ``a`` is a node mask of the topologically labeled graph whose adjacency
+    masks are ``parents`` and ``siblings``; the pair is the one
+    ``witness_from_set`` builds there. Off the skeleton the lifted points
+    take Lambda = 0 and Omega = I, so the lifted I - Lambda is a permuted
+    block diagonal diag(I - Lambda_s, I): the covariance on the graph is the
+    skeleton's embedded in an identity, the lifted Omega is positive
+    definite exactly when the skeleton's is, and residual and separation are
+    the skeleton's (``_skeleton_witness``). What is left to check on the
+    graph is support: every skeleton edge must map onto an edge of the same
+    kind in the masks, or ``SupportViolationError`` is raised.
     """
-    skeleton, pos = witness._skeleton(topo, to_topo, a)
-    for kind, edges, has_edge in (
-        ("->", skeleton.directed, g.has_directed),
-        ("<->", skeleton.bidirected, g.has_bidirected),
-    ):
+    subset, directed, bidirected = witness._skeleton_trees(parents, siblings, a)
+    for kind, edges, adj in (("->", directed, parents), ("<->", bidirected, siblings)):
         for v, w in edges:
-            i, j = pos[v - 1] + 1, pos[w - 1] + 1
-            if not has_edge(i, j):
+            i, j = subset[v - 1], subset[w - 1]
+            if not adj[j] >> i & 1:
                 raise SupportViolationError(
                     f"skeleton edge {v}{kind}{w} maps to {i}{kind}{j}, not an edge of the graph"
                 )
-    return _skeleton_witness(skeleton)
+    return _skeleton_witness(len(subset), directed, bidirected)
 
 
 @dataclass
@@ -460,18 +494,20 @@ def _classify_directed(dmask: int, n: int, simple_only: bool) -> tuple[list, lis
     return bmasks, best.tolist(), n_aut.tolist(), identifiable
 
 
-def _oracle_disagreement(cls: tuple, n: int, trials: int) -> str | None:
+def _oracle_disagreement(item: tuple, n: int, trials: int) -> str | None:
     """Pass 2, one class: None when the oracle confirms the class's verdict.
 
-    Otherwise the ``Disagreement.reason``: ``"oracle"`` for a different
-    answer, ``"oracle error: <message>"`` when the oracle raised. Looks
-    ``injectivity_oracle`` up as a module global on every call, so a
-    rebinding of ``census.injectivity_oracle`` is what runs.
+    ``item`` is ``(key, dmask, bmask, identifiable)`` as pass 1 left it: the
+    class's key, the pair masks of its first representative and its
+    fixpoint verdict. The oracle kernel runs on those masks as they are; no
+    graph is relabeled or keyed again. Otherwise the ``Disagreement.reason``:
+    ``"oracle"`` for a different answer, ``"oracle error: <message>"`` when
+    the oracle raised. Looks ``_oracle`` up as a module global on every call,
+    so a rebinding of ``census._oracle`` is what runs.
     """
-    directed, bidirected, identifiable = cls
-    g = MixedGraph(m=n, directed=directed, bidirected=bidirected)
+    key, dmask, bmask, identifiable = item
     try:
-        injective = injectivity_oracle(g, trials=trials).injective
+        injective = _oracle(key, n, dmask, bmask, trials).injective
     except SemidentError as exc:
         return f"oracle error: {exc}"
     return None if injective == identifiable else "oracle"
@@ -491,8 +527,9 @@ def census_report(
     on the masks and deduplicates the representatives into unlabeled classes
     by their largest permutation image; every representative's verdict must
     agree with its class's verdict. Only a new class has its key and edges
-    decoded. The second runs the oracle once per class, on the class's first
-    representative, and its answer must agree with the class's verdict.
+    decoded, its edges by table lookup. The second runs the oracle kernel
+    once per class, on the key and pair masks pass 1 kept for the class's
+    first representative, and its answer must agree with the class's verdict.
     Every conflict lands in ``disagreements``, with the check that failed
     (``Disagreement.reason``). The labeled count of a class is n! / |Aut(G)|,
     the number of distinct labelings of G. Both passes are streamed, in
@@ -507,36 +544,38 @@ def census_report(
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
     classes: dict[int, CensusRow] = {}
+    work = []  # pass 2's items, one per class in row order
     factorial = math.factorial(n)
     edges = _permutation_table(n)[0]
-    pairs = _mask_tables(n).pairs
+    tables = _mask_tables(n)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
 
         def stream(func, items, chunksize):
             return pool.imap(func, items, chunksize=chunksize) if pool else map(func, items)
 
         unit = partial(_classify_directed, n=n, simple_only=simple_only)
-        units = stream(unit, range(1 << len(pairs)), 4)
+        units = stream(unit, range(len(tables.edges)), 4)
         for dmask, (bmasks, bests, auts, verdicts) in enumerate(units):
             for bmask, best, n_aut, identifiable in zip(bmasks, bests, auts, verdicts):
                 row = classes.get(best)
                 if row is None:
+                    key = _key_of(n, edges, best)
                     classes[best] = CensusRow(
-                        key=_key_of(n, edges, best),
-                        directed=_pairs_of(pairs, dmask),
-                        bidirected=_pairs_of(pairs, bmask),
+                        key=key,
+                        directed=tables.edges[dmask],
+                        bidirected=tables.edges[bmask],
                         simple=not dmask & bmask,
                         identifiable=identifiable,
                         labeled_count=factorial // n_aut,
                     )
+                    work.append((key, dmask, bmask, identifiable))
                 elif row.identifiable != identifiable:
                     report.disagreements.append(
-                        Disagreement(_pairs_of(pairs, dmask), _pairs_of(pairs, bmask), "verdict")
+                        Disagreement(tables.edges[dmask], tables.edges[bmask], "verdict")
                     )
         report.rows = list(classes.values())
         check = partial(_oracle_disagreement, n=n, trials=trials)
-        verdicts = ((r.directed, r.bidirected, r.identifiable) for r in report.rows)
-        for row, reason in zip(report.rows, stream(check, verdicts, 8)):
+        for row, reason in zip(report.rows, stream(check, work, 8)):
             if reason is not None:
                 report.disagreements.append(Disagreement(row.directed, row.bidirected, reason))
     return report

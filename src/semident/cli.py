@@ -3,8 +3,10 @@
 Batch, non-interactive front end: each subcommand reads graph/matrix files,
 runs one analysis, and prints JSON (CSV available for the census). Exit
 status 0 on success, 2 on domain errors such as a rank-deficient inversion
-step, 1 on usage errors. Identical configuration and seed give
-byte-identical output.
+step, 1 on usage errors, and 141 (128 + SIGPIPE, what a shell reports for a
+writer killed by a closed pipe) when the reader closes standard output
+early; that last case prints nothing to stderr. Identical configuration and
+seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ def _checked(convert, ok, what: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+
+
+#: exit status when the reader closes standard output early (128 + SIGPIPE)
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(SemidentError):
@@ -264,6 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        status = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
+    return status
+
+
+def _run(args) -> int:
+    try:
         return args.func(args)
     except UsageError as exc:
         print(f"semident: error: {exc}", file=sys.stderr)
@@ -271,6 +287,23 @@ def main(argv: list[str] | None = None) -> int:
     except SemidentError as exc:
         _emit({"error": _error_json(exc)})
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point standard output's file descriptor at the null device.
+
+    The recipe of Python's ``signal`` documentation for SIGPIPE: output still
+    buffered then goes nowhere when the interpreter flushes it on exit,
+    instead of raising a second ``BrokenPipeError`` there. A stand-in stdout
+    without a descriptor is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _error_json(exc: SemidentError) -> dict:

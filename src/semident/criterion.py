@@ -107,17 +107,38 @@ def find_violating_set_exhaustive(g: MixedGraph) -> tuple[tuple, int] | None:
     every other inside it.
     """
     require_acyclic(g)
-    parents, siblings = g._parents, g._siblings
-    nodes = range(1, g.m + 1)
-    bits = [1 << v for v in nodes]
-    for size in range(g.m, 1, -1):
-        for subset, mask in zip(combinations(nodes, size), map(sum, combinations(bits, size))):
-            if _closure(siblings, subset[-1], mask) != mask:
-                continue
-            for y in subset:
-                if _closure(parents, y, mask) == mask:
-                    return subset, y
+    hit = _exhaustive_set(g._parents, g._siblings)
+    if hit is None:
+        return None
+    a, y = hit
+    return tuple(_members(a)), y
+
+
+def _exhaustive_set(parents: tuple, siblings: tuple) -> tuple[int, int] | None:
+    """``find_violating_set_exhaustive`` on adjacency masks: ``(set mask, sink)`` or None.
+
+    ``parents`` and ``siblings`` are per-node masks as ``MixedGraph`` stores
+    them (index 0 unused); nothing here checks acyclicity. The census oracle
+    runs this on the masks of its pass-1 tables. Shares ``_closure`` with the
+    fixpoint search and nothing else.
+    """
+    m = len(parents) - 1
+    for mask, nodes in _subsets(m):
+        if _closure(siblings, nodes[-1], mask) != mask:
+            continue
+        for y in nodes:
+            if _closure(parents, y, mask) == mask:
+                return mask, y
     return None
+
+
+def _subsets(m: int):
+    """``(mask, nodes)`` of every subset of 1..m with at least two nodes, the
+    largest first and each size in ``combinations`` order."""
+    nodes = range(1, m + 1)
+    bits = [1 << v for v in nodes]
+    for size in range(m, 1, -1):
+        yield from zip(map(sum, combinations(bits, size)), combinations(nodes, size))
 
 
 def check_global_identifiability(g: MixedGraph) -> IdentVerdict:

@@ -195,22 +195,40 @@ def _induced_skeleton(mask: int, parents: tuple, siblings: tuple) -> MixedGraph:
     """The skeleton of the subgraph induced on the nodes of ``mask``, labeled 1..|mask|.
 
     ``parents`` and ``siblings`` are the adjacency masks of those nodes, in
-    ascending order, cut to ``mask``. The skeleton holds BFS trees toward the
-    set's sink: a shortest-path arborescence and a bidirected spanning tree.
-    Every node of a violating set is an ancestor of its sink, so the sink is
-    the largest node. Relabeling 1..|mask| in order keeps the ascending
-    neighbour order of ``_bfs``, so walking the original labels gives the
-    same trees. Bounded: the five-node census meets about 107 000 distinct
-    induced subgraphs, and ``witness_from_set`` serves graphs of any size.
+    ascending order, cut to ``mask``; ``_skeleton_trees`` walks them. Bounded,
+    since ``witness_from_set`` serves graphs of any size; the census oracle
+    keys its own memo by the skeleton's edges instead.
+    """
+    subset = _members(mask)
+    _, directed, bidirected = _skeleton_trees(
+        dict(zip(subset, parents)), dict(zip(subset, siblings)), mask
+    )
+    return MixedGraph(m=len(subset), directed=directed, bidirected=bidirected)
+
+
+def _skeleton_trees(parents, siblings, mask: int) -> tuple[list, tuple, tuple]:
+    """The BFS trees of the skeleton of the subgraph induced on ``mask``.
+
+    ``parents`` and ``siblings`` map each node of ``mask`` (at least) to its
+    adjacency mask. The skeleton holds BFS trees toward the set's sink: a
+    shortest-path arborescence and a bidirected spanning tree. Every node of
+    a violating set is an ancestor of its sink, so the sink is the largest
+    node. Returns ``(subset, directed, bidirected)``: the nodes of ``mask`` in
+    ascending order, and the trees' edges in local labels (node ``subset[k]``
+    is k + 1), sorted, bidirected pairs as ``(min, max)``. Relabeling in
+    order keeps the ascending neighbour order of ``_bfs``, so the local trees
+    are those a walk of the relabeled subgraph gives.
     """
     subset = _members(mask)
     local = {v: k for k, v in enumerate(subset, 1)}
-    arb, tree = (_bfs(dict(zip(subset, adj)), subset[-1]) for adj in (parents, siblings))
-    return MixedGraph(
-        m=len(subset),
-        directed={(local[v], local[w]) for v, w in arb.items() if w is not None},
-        bidirected={(local[v], local[w]) for v, w in tree.items() if w is not None},
+    sink = subset[-1]
+    arb, tree = _bfs(parents, sink, mask), _bfs(siblings, sink, mask)
+    del arb[sink], tree[sink]  # the roots, mapped to None
+    directed = sorted([(local[v], local[w]) for v, w in arb.items()])
+    bidirected = sorted(
+        [(local[v], local[w]) if v < w else (local[w], local[v]) for v, w in tree.items()]
     )
+    return subset, tuple(directed), tuple(bidirected)
 
 
 def _skeleton_points(skeleton: MixedGraph, backend: str) -> tuple[np.ndarray, ...]:
@@ -266,7 +284,7 @@ def _lifted_witness(g: MixedGraph, pos: list[int], points: tuple) -> WitnessPair
     Omega. ``phi`` checks each lifted point's support and positive
     definiteness on ``g``; the residual and separation are taken on ``g``.
     The census oracle checks the same thing once per skeleton instead
-    (``census._oracle_witness``): the lifted covariance is the skeleton's
+    (``census._mask_witness``): the lifted covariance is the skeleton's
     embedded in an identity, so only the support on ``g`` is left per graph.
     """
     block = np.ix_(pos, pos)

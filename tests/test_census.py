@@ -29,6 +29,7 @@ from semident.errors import SemidentError, SupportViolationError
 from semident.graphs import (
     MixedGraph,
     _bfs,
+    _node_mask,
     is_simple,
     relabel,
     relabel_topologically,
@@ -307,26 +308,33 @@ def test_labeled_counts_match_brute_force(n, expected):
         assert row.labeled_count == len(_labelings(row.directed, row.bidirected, n))
 
 
+def _mask_graph(n, dmask, bmask):
+    """The upper-triangular graph on n nodes whose pair masks are ``(dmask, bmask)``."""
+    edges = semident.census._mask_tables(n).edges
+    return MixedGraph(m=n, directed=edges[dmask], bidirected=edges[bmask])
+
+
 @pytest.mark.parametrize("n, simple_only", [(3, False), (4, True)])
 def test_oracle_runs_once_per_class(count_calls, n, simple_only):
-    calls = count_calls(semident.census, "injectivity_oracle")
+    # the kernel's arguments are (key, n, dmask, bmask, trials)
+    calls = count_calls(semident.census, "_oracle")
     report = census_report(n, simple_only=simple_only, trials=1)
     assert not report.disagreements
     assert len(calls) == report.unlabeled_total
-    assert len({canonical_form(args[0]) for args in calls}) == report.unlabeled_total
+    assert len({canonical_form(_mask_graph(*args[1:4])) for args in calls}) == report.unlabeled_total
 
 
 def test_flipped_oracle_answer_is_a_disagreement(monkeypatch, capsys):
-    oracle = semident.census.injectivity_oracle
+    oracle = semident.census._oracle
     target = canonical_form(MixedGraph(m=3, directed={(1, 2), (2, 3)}, bidirected={(2, 3)}))
 
-    def flipped(g, trials):
-        verdict = oracle(g, trials=trials)
-        if canonical_form(g) == target:
+    def flipped(key, n, dmask, bmask, trials):
+        verdict = oracle(key, n, dmask, bmask, trials)
+        if canonical_form(_mask_graph(n, dmask, bmask)) == target:
             return OracleVerdict(not verdict.injective, "flipped")
         return verdict
 
-    monkeypatch.setattr(semident.census, "injectivity_oracle", flipped)
+    monkeypatch.setattr(semident.census, "_oracle", flipped)
     report = census_report(3, trials=1)
     (row,) = [r for r in report.rows if r.key == target]
     assert report.disagreements == [(row.directed, row.bidirected, "oracle")]
@@ -361,15 +369,15 @@ def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch
 
 
 def test_raising_oracle_is_a_disagreement_with_its_message(monkeypatch):
-    oracle = semident.census.injectivity_oracle
+    oracle = semident.census._oracle
     target = canonical_form(MixedGraph(m=3, directed={(1, 2), (2, 3)}, bidirected={(2, 3)}))
 
-    def raising(g, trials):
-        if canonical_form(g) == target:
+    def raising(key, n, dmask, bmask, trials):
+        if canonical_form(_mask_graph(n, dmask, bmask)) == target:
             raise SemidentError("witness construction produced an invalid pair")
-        return oracle(g, trials=trials)
+        return oracle(key, n, dmask, bmask, trials)
 
-    monkeypatch.setattr(semident.census, "injectivity_oracle", raising)
+    monkeypatch.setattr(semident.census, "_oracle", raising)
     report = census_report(3, trials=1)
     (row,) = [r for r in report.rows if r.key == target]
     reason = "oracle error: witness construction produced an invalid pair"
@@ -586,7 +594,9 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
             noninjective.append((g, topo, to_topo, hit))
     assert len(noninjective) > 1403 + 150
     for g, topo, to_topo, hit in noninjective:
-        check = semident.census._oracle_witness(g, topo, to_topo, hit[0])
+        check = semident.census._mask_witness(
+            topo._parents, topo._siblings, _node_mask(topo, hit[0])
+        )
         ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
         assert (check.residual, check.separation) == (ref.residual, ref.separation)
         assert check.residual == 0 and check.separation != 0
@@ -607,26 +617,31 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
             assert all(type(x) is type(y) for x, y in zip(a.flat, b.flat))
 
 
-def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(iv_graph):
-    topo, to_topo = relabel_topologically(iv_graph)
-    (a, _) = find_violating_set_exhaustive(topo)
+def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(monkeypatch, iv_graph):
+    a, _ = semident.criterion._exhaustive_set(iv_graph._parents, iv_graph._siblings)
+    trees = witness._skeleton_trees(iv_graph._parents, iv_graph._siblings, a)
+    # the iv graph's skeleton, checked on graphs that lack one of its edges
+    monkeypatch.setattr(witness, "_skeleton_trees", lambda *args: trees)
     without_bow = MixedGraph(m=3, directed={(1, 2)}, bidirected={(2, 3)})
     with pytest.raises(SupportViolationError, match="skeleton edge 1->2 maps to 2->3, not an edge"):
-        semident.census._oracle_witness(without_bow, topo, to_topo, a)
+        semident.census._mask_witness(without_bow._parents, without_bow._siblings, a)
     without_sibling = MixedGraph(m=3, directed={(1, 2), (2, 3)})
     with pytest.raises(SupportViolationError, match="edge 1<->2 maps to 2<->3, not an edge"):
-        semident.census._oracle_witness(without_sibling, topo, to_topo, a)
+        semident.census._mask_witness(without_sibling._parents, without_sibling._siblings, a)
 
 
 def test_skeleton_edge_off_the_graph_is_an_oracle_error_in_the_census(monkeypatch, iv_graph):
     target = canonical_form(iv_graph)
-    skeleton_of = witness._skeleton
+    trees_of = witness._skeleton_trees
 
-    def reversed_positions(topo, to_topo, a):
-        skeleton, pos = skeleton_of(topo, to_topo, a)
-        return skeleton, pos[::-1] if canonical_form(topo) == target else pos
+    def reversed_positions(parents, siblings, a):
+        subset, directed, bidirected = trees_of(parents, siblings, a)
+        # the iv graph is its class's only upper-triangular representative
+        if (parents, siblings) == (iv_graph._parents, iv_graph._siblings):
+            subset = subset[::-1]
+        return subset, directed, bidirected
 
-    monkeypatch.setattr(witness, "_skeleton", reversed_positions)
+    monkeypatch.setattr(witness, "_skeleton_trees", reversed_positions)
     report = census_report(3, trials=1)
     (row,) = [r for r in report.rows if r.key == target]
     (item,) = report.disagreements
@@ -650,8 +665,71 @@ def test_skeleton_memo_is_read_only_and_used_by_the_oracle_only(iv_graph):
     assert memo.cache_info()[:2] == (2, 1)
     topo, to_topo = relabel_topologically(iv_graph)
     skeleton, _ = witness._skeleton(topo, to_topo, find_violating_set_exhaustive(topo)[0])
-    cached = memo(skeleton)
+    cached = memo(skeleton.m, tuple(sorted(skeleton.directed)), tuple(sorted(skeleton.bidirected)))
     for a in (*cached.points, cached.sigma):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 0
+
+
+def _first_representatives(n):
+    """(key, dmask, bmask) of every class's first representative on n nodes, in census order."""
+    census = semident.census
+    edges = census._permutation_table(n)[0]
+    first = {}
+    for dmask in range(len(census._mask_tables(n).edges)):
+        for bmask, best, _, _ in zip(*census._classify_directed(dmask, n, False)):
+            first.setdefault(best, (census._key_of(n, edges, best), dmask, bmask))
+    return list(first.values())
+
+
+def test_census_kernel_matches_the_public_oracle_on_relabeled_classes():
+    # the census runs the kernel on pass-1 masks; the public entry relabels,
+    # keys and calls the same kernel
+    rng = random.Random(21)
+    checked, moved = 0, 0
+    for n in range(1, 5):
+        for key, dmask, bmask in _first_representatives(n):
+            g = _mask_graph(n, dmask, bmask)
+            kernel = semident.census._oracle(key, n, dmask, bmask, DEFAULT_TRIALS)
+            assert kernel == injectivity_oracle(g)
+            perm = rng.sample(range(1, n + 1), n)
+            h = relabel(g, {v: perm[v - 1] for v in g.nodes})
+            public = injectivity_oracle(h)
+            assert public.injective == kernel.injective
+            if public.evidence != kernel.evidence:
+                # a witness's separation depends on the violating set the scan
+                # meets first, so only on other topological labels
+                assert not kernel.injective
+                assert relabel_topologically(h)[0] != g
+                moved += 1
+            checked += 1
+    assert checked == 1 + 4 + 40 + 1567
+    assert moved == 11  # of the 1 403 noninjective classes
+
+
+def test_census_pass_two_builds_graphs_only_for_step_walks_and_memo_misses(count_calls):
+    memo = semident.census._skeleton_witness
+    memo.cache_clear()
+    relabels = count_calls(semident.graphs, "relabel_topologically")
+    keys = count_calls(semident.census, "canonical_form")
+    graphs = count_calls(semident.graphs, "MixedGraph")
+    report = census_report(4)
+    built = len(graphs)
+    assert not report.disagreements
+    assert relabels == [] and keys == []
+    info = memo.cache_info()
+    injective = report.unlabeled_count(identifiable=True)
+    noninjective = report.unlabeled_count(identifiable=False)
+    # one graph per injective step walk, one per skeleton-memo miss
+    assert (injective, noninjective) == (190, 1377)
+    assert built == injective + info.misses
+    assert info.hits + info.misses == noninjective
+    # one entry per distinct skeleton, taken here on the graph path
+    skeletons = set()
+    for row in report.rows:
+        if not row.identifiable:
+            g = MixedGraph(m=4, directed=row.directed, bidirected=row.bidirected)
+            a, _ = find_violating_set_exhaustive(g)
+            skeletons.add(witness._skeleton(g, {v: v for v in g.nodes}, a)[0])
+    assert info.currsize == info.misses == len(skeletons) < noninjective

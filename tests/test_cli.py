@@ -1,13 +1,17 @@
 """CLI behavior: output shape, schema validity, determinism, exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from semident.cli import main
+from semident.cli import EXIT_BROKEN_PIPE, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -438,3 +442,44 @@ def test_trace_family_output(capsys, tmp_path):
     _validator("trace").validate(data)
     assert data["kind"] == "family"
     assert data["family"]["direction"]["step"] == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{iv}"],
+        ["witness", "{chain}"],  # a domain error, reported as JSON on stdout
+        ["census", "--n", "2", "--trials", "1"],
+        ["census", "--n", "2", "--trials", "1", "--format", "csv"],
+    ],
+)
+def test_closed_stdout_exits_quietly(monkeypatch, capsys, iv_file, chain_file, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([a.format(iv=iv_file, chain=chain_file) for a in argv]) == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_ends_the_process_quietly(iv_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # buffered stdout, as from a shell: the short output then meets the
+    # closed pipe only when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semident.cli", "check", iv_file],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # before the process can write anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""
