@@ -10,21 +10,22 @@ work unit per directed part takes every bidirected part's canonical key,
 verdict must agree with the verdict of its isomorphism class. Injectivity is
 invariant under relabelling, so pass 2 then checks each class once, on the
 key and masks pass 1 kept for its first representative, against an oracle
-built from the exhaustive induced-subgraph scan, random-point rank
-conditions and an explicit witness built on the scan's own violating set.
+built from the exhaustive induced-subgraph scan, exact rank conditions and
+an explicit witness built on the scan's own violating set.
 The oracle kernel (``_oracle``) runs on the adjacency masks of the same
 tables: representatives already carry topological labels, so nothing is
 relabeled or keyed again. It builds a graph object only for an injective
 class's step walk and for a skeleton the witness memo has not met yet; the
 memo is keyed by the skeleton's own edges, so labeled violating sets with
 one skeleton share an entry. ``injectivity_oracle``, the public entry for
-any labeling, relabels and keys its graph and runs the same kernel.
-The random points of a class come from one block of uniforms, drawn by a
-generator seeded with a hash of the class's canonical key, so they do not
-depend on the order or the process in which classes are checked. The
-oracle shares nothing with the fixpoint search. Any disagreement is a
-build-failing event. ``enumerate_graphs`` and ``canonical_form`` also go to
-six nodes; ``census_report`` and the oracle stop at five.
+any labeling, keys its graph and runs the same kernel on the canonical
+graph, so its evidence does not depend on the labeling it was given.
+The integer probe point of a class is drawn by a generator seeded with a
+hash of the class's canonical key, so it does not depend on the order or
+the process in which classes are checked. The oracle shares nothing with
+the fixpoint search. Any disagreement is a build-failing event.
+``enumerate_graphs`` and ``canonical_form`` also go to six nodes;
+``census_report`` and the oracle stop at five.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, permutations
 from multiprocessing import Pool
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -46,15 +48,12 @@ import numpy as np
 from . import linalg, witness
 from .criterion import _exhaustive_set, _violating_set
 from .errors import SemidentError, SupportViolationError
-from .graphs import MixedGraph, relabel_topologically
+from .graphs import MixedGraph, relabel_topologically, require_acyclic
 from .inversion import _step_records
 from .params import phi
 
 #: hard cap on census node counts
 MAX_N = 6
-
-#: random rank-condition probes per injective graph
-DEFAULT_TRIALS = 20
 
 
 def enumerate_graphs(n: int, simple_only: bool = False):
@@ -207,7 +206,7 @@ def _mask_tables(n: int) -> _MaskTables:
 def _seed_from_key(key: tuple) -> int:
     """Probe seed of a class: the first 8 bytes of the SHA-256 of ``repr(key)``.
 
-    One hash per class; ``_probe_points`` seeds its one draw with it.
+    One hash per class; ``_probe_point`` seeds its one draw with it.
     """
     digest = hashlib.sha256(repr(key).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -258,54 +257,59 @@ class OracleVerdict:
     evidence: str
 
 
-def injectivity_oracle(g: MixedGraph, trials: int = DEFAULT_TRIALS) -> OracleVerdict:
+def injectivity_oracle(g: MixedGraph) -> OracleVerdict:
     """Decide injectivity without the fixpoint search.
 
     Accepts any labeling of an acyclic graph on at most five nodes. The
-    graph is relabeled topologically, keyed by ``canonical_form`` and handed
-    as pair masks to the oracle kernel ``_oracle``, the one the census runs
-    on its pass-1 masks, so both reach the same kind of evidence: rank
-    conditions at ``trials + 1`` points for an injective graph, an exact
+    graph is keyed by ``canonical_form``, and the graph of that key,
+    relabeled topologically, is handed as pair masks to the oracle kernel
+    ``_oracle``, the one the census runs on its pass-1 masks. Every labeling
+    of one graph therefore gets the same verdict and the same evidence:
+    exact rank conditions at two points for an injective graph, an exact
     witness pair for a noninjective one. Internal failures raise rather than
-    silently passing, and so does a negative ``trials``.
+    silently passing.
     """
     if g.m > 5:
         raise SemidentError("injectivity oracle supports m <= 5")
-    if trials < 0:
-        raise SemidentError(f"injectivity oracle needs trials >= 0, got {trials}")
-    topo, _ = relabel_topologically(g)
+    require_acyclic(g)
+    key = canonical_form(g)
+    topo, _ = relabel_topologically(MixedGraph(m=g.m, directed=key[1], bidirected=key[2]))
     bit = {pair: 1 << k for k, pair in enumerate(_mask_tables(g.m).pairs)}
     dmask = sum(bit[e] for e in topo.directed)
     bmask = sum(bit[e] for e in topo.bidirected)
-    return _oracle(canonical_form(g), g.m, dmask, bmask, trials)
+    return _oracle(key, g.m, dmask, bmask)
 
 
-def _oracle(key: tuple, n: int, dmask: int, bmask: int, trials: int) -> OracleVerdict:
+def _oracle(key: tuple, n: int, dmask: int, bmask: int) -> OracleVerdict:
     """The oracle kernel on the upper-triangular graph ``(dmask, bmask)`` of ``_mask_tables(n)``.
 
     ``key`` is the graph's canonical key. Runs the exhaustive
     induced-subgraph scan on the tables' adjacency masks. An injective
-    answer is backed by rank conditions at Lambda = 0, Omega = I and at
-    ``trials`` random parameter points, drawn in one block seeded by the key
-    (``_probe_points``): the points are stacked and walk the inversion steps
-    together, one batched rank decision per step. That walk is the only
-    place a ``MixedGraph`` is built for the graph. A noninjective answer is
-    backed by an explicit witness pair built inside the set the scan found,
-    checked once per skeleton (``_mask_witness``). Internal failures raise
-    rather than silently passing.
+    answer is backed by exact rank conditions at two points. At Lambda = 0,
+    Omega = I the step matrix of node j is I on the rows [j - 1] \\ S and the
+    columns P, of rank |P \\ S|, so step j - 1 fails exactly when some pair
+    (i, j) is both a directed and a bidirected edge. Then the inversion
+    steps walk the integer point ``_probe_point`` on the rational backend;
+    that walk is the only place a ``MixedGraph`` is built for the graph. The
+    first failing step raises. A noninjective answer is backed by an
+    explicit witness pair built inside the set the scan found, checked once
+    per skeleton (``_mask_witness``). Internal failures raise rather than
+    silently passing.
     """
     tables = _mask_tables(n)
     parents, siblings = tables.parents[dmask], tables.siblings[bmask]
     hit = _exhaustive_set(parents, siblings)
     if hit is None:
-        topo = MixedGraph(m=n, directed=tables.edges[dmask], bidirected=tables.edges[bmask])
-        lam, omega = _probe_points(topo, key, trials)
-        records = list(_step_records(topo, lam, omega))
-        if not all(rec.passed.all() for rec in records):
-            # report point by point, each step in order
-            step = next(rec.step for k in range(len(lam)) for rec in records if not rec.passed[k])
-            raise SemidentError(f"subset scan says injective but rank fails at step {step}")
-        return OracleVerdict(True, f"rank conditions at {len(lam)} points")
+        failing = [j - 1 for _, j in tables.edges[dmask & bmask]]
+        if not failing:
+            topo = MixedGraph(m=n, directed=tables.edges[dmask], bidirected=tables.edges[bmask])
+            records = _step_records(topo, *_probe_point(topo, key))
+            failing = [rec.step for rec in records if not rec.passed]
+        if failing:
+            raise SemidentError(
+                f"subset scan says injective but rank fails at step {min(failing)}"
+            )
+        return OracleVerdict(True, "exact rank conditions at 2 points")
     pair = _mask_witness(parents, siblings, hit[0])
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
@@ -314,32 +318,31 @@ def _oracle(key: tuple, n: int, dmask: int, bmask: int, trials: int) -> OracleVe
     )
 
 
-def _probe_points(topo: MixedGraph, key: tuple, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's float probe points as stacks ``(trials + 1, m, m)`` of Lambda and Omega.
+def _probe_point(topo: MixedGraph, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's exact probe point: object arrays of Python ints Lambda and Omega.
 
-    Point 0 is Lambda = 0, Omega = I. The other ``trials`` points come from
-    one draw of a ``random.Random`` seeded at ``_seed_from_key(key)``: one
-    block of 53-bit uniforms on [-1, 1), one row per point, each row holding
-    the directed edges' entries and then the bidirected edges', in sorted
-    edge order. Index arrays scatter the block into the stacks, Omega
-    symmetric, and every diagonal entry of Omega is 1 plus its row's absolute
-    sum, so each Omega is strictly diagonally dominant and positive definite
-    (``sample_parameters``' rule).
+    One draw of a ``random.Random`` seeded at ``_seed_from_key(key)``: one
+    block of 64-bit words, one per edge, the directed edges' and then the
+    bidirected edges', in sorted edge order. The top 17 bits of each word,
+    less 2**16, give an integer in [-2**16, 2**16). Index arrays
+    scatter them into Lambda and Omega, Omega symmetric, and every diagonal
+    entry of Omega is 1 plus its row's absolute sum, so Omega is strictly
+    diagonally dominant and positive definite (``sample_parameters``' rule).
     """
     m = topo.m
     edges = np.array(sorted(topo.directed) + sorted(topo.bidirected), dtype=np.intp)
     rows, cols = edges.reshape(-1, 2).T - 1
     n_dir = len(topo.directed)
     rng = random.Random(_seed_from_key(key))
-    bits = np.frombuffer(rng.randbytes(8 * trials * len(edges)), dtype="<u8") >> np.uint64(11)
-    draws = (bits * 2.0**-52 - 1.0).reshape(trials, len(edges))
-    lam = np.zeros((trials + 1, m, m))
-    omega = np.zeros((trials + 1, m, m))
-    lam[1:, rows[:n_dir], cols[:n_dir]] = draws[:, :n_dir]
-    omega[1:, rows[n_dir:], cols[n_dir:]] = draws[:, n_dir:]
-    omega[1:, cols[n_dir:], rows[n_dir:]] = draws[:, n_dir:]
+    words = np.frombuffer(rng.randbytes(8 * len(edges)), dtype="<u8") >> np.uint64(47)
+    draws = (words.astype(np.int64) - 2**16).astype(object)
+    lam = np.zeros((m, m), dtype=object)
+    omega = np.zeros((m, m), dtype=object)
+    lam[rows[:n_dir], cols[:n_dir]] = draws[:n_dir]
+    omega[rows[n_dir:], cols[n_dir:]] = draws[n_dir:]
+    omega[cols[n_dir:], rows[n_dir:]] = draws[n_dir:]
     diag = np.arange(m)
-    omega[:, diag, diag] = 1.0 + np.abs(omega).sum(axis=2)
+    omega[diag, diag] = 1 + np.abs(omega).sum(axis=1)
     return lam, omega
 
 
@@ -494,7 +497,7 @@ def _classify_directed(dmask: int, n: int, simple_only: bool) -> tuple[list, lis
     return bmasks, best.tolist(), n_aut.tolist(), identifiable
 
 
-def _oracle_disagreement(item: tuple, n: int, trials: int) -> str | None:
+def _oracle_disagreement(item: tuple, n: int) -> str | None:
     """Pass 2, one class: None when the oracle confirms the class's verdict.
 
     ``item`` is ``(key, dmask, bmask, identifiable)`` as pass 1 left it: the
@@ -507,18 +510,13 @@ def _oracle_disagreement(item: tuple, n: int, trials: int) -> str | None:
     """
     key, dmask, bmask, identifiable = item
     try:
-        injective = _oracle(key, n, dmask, bmask, trials).injective
+        injective = _oracle(key, n, dmask, bmask).injective
     except SemidentError as exc:
         return f"oracle error: {exc}"
     return None if injective == identifiable else "oracle"
 
 
-def census_report(
-    n: int,
-    simple_only: bool = False,
-    trials: int = DEFAULT_TRIALS,
-    jobs: int = 1,
-) -> CensusReport:
+def census_report(n: int, simple_only: bool = False, *, jobs: int = 1) -> CensusReport:
     """Classify every acyclic mixed graph on ``n`` nodes (n <= 5).
 
     Two streamed passes. The first visits every upper-triangular
@@ -535,12 +533,10 @@ def census_report(
     the number of distinct labelings of G. Both passes are streamed, in
     order, to at most ``min(jobs, os.cpu_count())`` worker processes.
     """
-    if not 1 <= n <= 5:
-        raise SemidentError(f"census_report supports 1 <= n <= 5, got {n}")
-    if jobs < 1:
-        raise SemidentError(f"census_report needs jobs >= 1, got {jobs}")
-    if trials < 0:
-        raise SemidentError(f"census_report needs trials >= 0, got {trials}")
+    if not isinstance(n, Integral) or not 1 <= n <= 5:
+        raise SemidentError(f"census_report supports integers 1 <= n <= 5, got {n!r}")
+    if not isinstance(jobs, Integral) or jobs < 1:
+        raise SemidentError(f"census_report needs an integer jobs >= 1, got {jobs!r}")
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
     classes: dict[int, CensusRow] = {}
@@ -574,7 +570,7 @@ def census_report(
                         Disagreement(tables.edges[dmask], tables.edges[bmask], "verdict")
                     )
         report.rows = list(classes.values())
-        check = partial(_oracle_disagreement, n=n, trials=trials)
+        check = partial(_oracle_disagreement, n=n)
         for row, reason in zip(report.rows, stream(check, work, 8)):
             if reason is not None:
                 report.disagreements.append(Disagreement(row.directed, row.bidirected, reason))

@@ -58,7 +58,6 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 
 
@@ -206,9 +205,7 @@ def _cmd_sample(args) -> int:
 def _cmd_census(args) -> int:
     if not 1 <= args.n <= 5:
         raise UsageError(f"--n must be between 1 and 5, got {args.n}")
-    report = census_report(
-        args.n, simple_only=args.simple_only, trials=args.trials, jobs=args.jobs
-    )
+    report = census_report(args.n, simple_only=args.simple_only, jobs=args.jobs)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--simple-only", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--trials", type=_nonnegative_int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser

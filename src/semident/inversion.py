@@ -67,9 +67,7 @@ class StepRecord:
     """Rank condition evaluated at one inversion step.
 
     ``matrix`` is Omega_{[i] \\ S(i), [i]} (I - Lambda)^{-1}_{[i], P(i)};
-    the step passes iff its rank equals |P(i)|. For a float stack of
-    parameter points (see ``_step_records``) ``matrix`` is the stack of
-    their matrices and ``rank`` and ``passed`` are arrays over the points.
+    the step passes iff its rank equals |P(i)|.
     """
 
     step: int
@@ -96,21 +94,17 @@ def _grow_inverse(inv, lam, i: int, p: list[int]) -> None:
     """Fill column i of (I - Lambda)^{-1} from the columns of its parents p.
 
     Works on float and object arrays, whose entries may be rational
-    functions of t, and on numpy stacks that carry their points on a
-    trailing axis, ``(m, m, points)``. Only rows above i change: under
-    topological labels the inverse is unit upper triangular.
+    functions of t. Only rows above i change: under topological labels the
+    inverse is unit upper triangular.
     """
     for k in p:
         inv[:i, i] = inv[:i, i] + inv[:i, k] * lam[k, i]
 
 
 def _step_record(omega: np.ndarray, inv: np.ndarray, p, s, i: int) -> StepRecord:
-    """Reduced rank matrix of step i; ``inv`` needs its leading i columns only.
-
-    ``omega`` and ``inv`` may be float stacks ``(points, m, m)``.
-    """
+    """Reduced rank matrix of step i; ``inv`` needs its leading i columns only."""
     rows = [r for r in range(i) if r not in s]
-    mat = linalg.matmul(omega[..., rows, :i], inv[..., :i, p])
+    mat = linalg.matmul(omega[rows, :i], inv[:i, p])
     return StepRecord(step=i, matrix=mat, rank=linalg.matrix_rank(mat), required_rank=len(p))
 
 
@@ -161,19 +155,13 @@ def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):
     """Yield the rank-condition record of every step 1..m-1 in order.
 
     One pass of the kernel: (I - Lambda)^{-1} grows by one column per step.
-    ``g`` must carry topological labels. ``lam`` and ``omega`` may also be
-    float stacks ``(points, m, m)`` of parameter points: every step then
-    runs once for all of them, and each record holds one rank per point.
+    ``g`` must carry topological labels.
     """
     inv = linalg.identity(g.m, linalg.backend_of(lam))
-    if lam.ndim == 3:
-        inv = np.repeat(inv[None], len(lam), axis=0)
-    # _grow_inverse indexes the two matrix axes first: points go last
-    inv_t, lam_t = (np.moveaxis(a, 0, -1) if a.ndim == 3 else a for a in (inv, lam))
     for i in range(1, g.m):
         p, s = _step_indices(g, i)
         yield _step_record(omega, inv, p, s, i)
-        _grow_inverse(inv_t, lam_t, i, p)
+        _grow_inverse(inv, lam, i, p)
 
 
 def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) -> StepRecord:

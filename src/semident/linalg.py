@@ -149,22 +149,17 @@ def _inverse(a: np.ndarray) -> tuple[list[list[int]], int]:
     return [row[n:] for row in rows], den
 
 
-def matrix_rank(a: np.ndarray):
+def matrix_rank(a: np.ndarray) -> int:
     """Rank of a matrix: SVD threshold (float) or exact elimination (rational).
 
     Float: the singular values above ``RANK_REL_TOL`` times the largest one
-    (none when the matrix is zero). A float stack of shape ``(..., r, c)``
-    gets the same rule per matrix, from one batched SVD, and returns an
-    integer array of shape ``(...)``.
+    (none when the matrix is zero).
     """
-    if backend_of(a) == "float":
-        if a.size == 0:
-            return np.zeros(a.shape[:-2], dtype=int) if a.ndim > 2 else 0
-        sv = np.linalg.svd(a, compute_uv=False)
-        ranks = np.count_nonzero(sv > RANK_REL_TOL * sv[..., :1], axis=-1)
-        return ranks if a.ndim > 2 else int(ranks)
     if a.size == 0:
         return 0
+    if backend_of(a) == "float":
+        sv = np.linalg.svd(a, compute_uv=False)
+        return int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
     return len(_row_echelon(_integer_rows(a))[2])
 
 

@@ -285,8 +285,8 @@ def test_non_finite_matrix_entry_exit_1(capsys, chain_file, tmp_path, backend, c
         ["sample", "GRAPH", "--scale", "nan"],
         ["sample", "GRAPH", "--scale", "inf"],
         ["sample", "GRAPH", "--scale=-inf", "--backend", "rational"],
-        ["census", "--n", "2", "--trials", "-3"],
-        ["census", "--n", "2", "--trials", "x"],
+        ["census", "--n", "2", "--jobs", "-3"],
+        ["census", "--n", "2", "--jobs", "x"],
     ],
 )
 def test_unchecked_numeric_flags_exit_1(capsys, chain_file, argv):
@@ -361,6 +361,7 @@ def test_usage_error_exit_1():
         ["no-such-command"],
         ["census", "--n", "2", "--seed", "1"],
         ["census", "--n", "3", "--jobs", "0"],
+        ["census", "--n", "2", "--trials", "1"],  # the option is gone
         # only the subcommands that compute on matrices take a backend
         ["check", "g.graph", "--backend", "rational"],
         ["census", "--n", "2", "--backend", "rational"],
@@ -402,7 +403,7 @@ def test_cycle_fiber_length_mismatch_exit_1(capsys):
 
 
 def test_census_json(capsys):
-    code, out = _run(capsys, "census", "--n", "3", "--trials", "3")
+    code, out = _run(capsys, "census", "--n", "3")
     assert code == 0
     data = json.loads(out)
     _validator("census").validate(data)
@@ -410,7 +411,7 @@ def test_census_json(capsys):
 
 
 def test_census_csv(capsys):
-    code, out = _run(capsys, "census", "--n", "2", "--format", "csv", "--trials", "3")
+    code, out = _run(capsys, "census", "--n", "2", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("directed,")
@@ -456,8 +457,8 @@ class _ClosedPipe(io.StringIO):
     [
         ["check", "{iv}"],
         ["witness", "{chain}"],  # a domain error, reported as JSON on stdout
-        ["census", "--n", "2", "--trials", "1"],
-        ["census", "--n", "2", "--trials", "1", "--format", "csv"],
+        ["census", "--n", "2"],
+        ["census", "--n", "2", "--format", "csv"],
     ],
 )
 def test_closed_stdout_exits_quietly(monkeypatch, capsys, iv_file, chain_file, argv):

@@ -113,7 +113,7 @@ def test_topological_labels_skip_the_cycle_search(count_calls):
         if not check_global_identifiability(g).identifiable:
             construct_witness(g, backend="rational")
             witnesses += 1
-        injectivity_oracle(g, trials=1)
+        injectivity_oracle(g)
     assert witnesses > 0
     assert calls == []
 

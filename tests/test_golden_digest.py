@@ -171,7 +171,7 @@ def golden_digest() -> str:
         ("is_pd", _is_pd_records()),
         ("cycles", _cycle_records()),
         ("trace", _trace_records()),
-        ("census", [census_report(3, trials=2).to_json()]),
+        ("census", [census_report(3).to_json()]),
     )
     for name, records in sections:
         for rec in records:

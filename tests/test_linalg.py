@@ -249,38 +249,6 @@ def test_matrix_rank_near_singular_float():
     assert linalg.matrix_rank(a) == 1
 
 
-@st.composite
-def float_stacks(draw):
-    """A float stack (..., r, c): zero, full and rank-deficient matrices at scales 1e-6..1e6."""
-    shape = draw(st.sampled_from([(), (2,)])) + (draw(st.integers(0, 4)),)
-    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = []
-    for _ in range(int(np.prod(shape))):
-        k = draw(st.integers(0, min(r, c)))  # 0 gives the zero matrix
-        scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
-        mats.append(scale * rng.uniform(-1, 1, (r, k)) @ rng.uniform(-1, 1, (k, c)))
-    return np.array(mats, dtype=float).reshape(shape + (r, c))
-
-
-@settings(max_examples=200, deadline=None)
-@given(float_stacks())
-def test_stacked_matrix_rank_matches_per_matrix_rank(stack):
-    ranks = linalg.matrix_rank(stack)
-    assert ranks.shape == stack.shape[:-2]
-    for index in np.ndindex(stack.shape[:-2]):
-        assert ranks[index] == linalg.matrix_rank(stack[index])
-
-
-def test_stacked_matrix_rank_of_known_ranks():
-    rng = np.random.default_rng(3)
-    mats = [rng.uniform(-1, 1, (4, k)) @ rng.uniform(-1, 1, (k, 3)) for k in range(4)]
-    stack = np.stack([scale * a for a in mats for scale in (1e-6, 1.0, 1e6)])
-    assert linalg.matrix_rank(stack).tolist() == [k for k in range(4) for _ in range(3)]
-    assert linalg.matrix_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
-    assert linalg.matrix_rank(np.zeros((0, 3, 3))).shape == (0,)
-
-
 def test_solve_linear_unique():
     a = linalg.to_array([[Fraction(1), 1], [0, Fraction(1)]], "rational")
     b = linalg.to_array([3, 1], "rational")
