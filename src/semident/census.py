@@ -3,27 +3,37 @@
 Enumerates every acyclic mixed graph on up to five nodes (directed parts as
 upper-triangular DAG representatives) and classifies identifiability with
 the fixpoint criterion on every representative. A representative is a pair
-of pair masks ``(dmask, bmask)``, and pass 1 works on those masks alone: one
-work unit per directed part takes every bidirected part's canonical key,
-|Aut| and fixpoint verdict from tables built once per node count
-(``_mask_tables``), and builds no graph object. Every representative's
-verdict must agree with the verdict of its isomorphism class. Injectivity is
-invariant under relabelling, so pass 2 then checks each class once, on the
-key and masks pass 1 kept for its first representative, against an oracle
-built from the exhaustive induced-subgraph scan, exact rank conditions and
-an explicit witness built on the scan's own violating set.
-The oracle kernel (``_oracle``) runs on the adjacency masks of the same
-tables: representatives already carry topological labels, so nothing is
-relabeled or keyed again. It builds a graph object only for an injective
-class's step walk and for a skeleton the witness memo has not met yet; the
-memo is keyed by the skeleton's own edges, so labeled violating sets with
-one skeleton share an entry. ``injectivity_oracle``, the public entry for
-any labeling, keys its graph and runs the same kernel on the canonical
-graph, so its evidence does not depend on the labeling it was given.
+of pair masks ``(dmask, bmask)``, and the census reads everything it needs
+from tables built once per node count, on first use, never at import. Pass 1
+takes all representatives at once, as numpy arrays, and builds no graph
+object: the permutation images of ``_mask_tables`` give each one's class
+and |Aut|, and the shrinking fixpoint runs on tabulated closures
+(``_fixpoint_tables``), one array lookup per step for every representative
+still searching. ``np.unique`` over the images deduplicates the classes.
+Every representative's verdict must agree with the verdict of its
+isomorphism class. Injectivity is invariant under relabelling, so pass 2
+then checks each class once, on the key and masks pass 1 kept for its first
+representative, against an oracle built from the exhaustive induced-subgraph
+scan, exact rank conditions and an explicit witness built on the scan's own
+violating set.
+The oracle kernel (``_oracle``) reads the scan from two uint64 bitset tables
+over the subsets the scan visits (``_scan_tables``): bit k of
+``arbor[dmask]`` says the k-th subset has a converging arborescence, bit k
+of ``conn[bmask]`` that its bidirected part is connected, so the first
+violating set is the lowest bit of one AND. The skeleton's BFS trees are
+memoized per pair mask and set (``_mask_tree``). Representatives already
+carry topological labels, so nothing is relabeled or keyed again. The
+kernel builds a graph object only for an injective class's step walk and
+for a skeleton the witness memo has not met yet; the memo is keyed by the
+skeleton's own edges, so labeled violating sets with one skeleton share an
+entry. ``injectivity_oracle``, the public entry for any labeling, keys its
+graph and runs the same kernel on the canonical graph, so its evidence does
+not depend on the labeling it was given.
 The integer probe point of a class is drawn by a generator seeded with a
 hash of the class's canonical key, so it does not depend on the order or
 the process in which classes are checked. The oracle shares nothing with
-the fixpoint search. Any disagreement is a build-failing event.
+the fixpoint search but ``_closure``, from which both build their tables.
+Any disagreement is a build-failing event.
 ``enumerate_graphs`` and ``canonical_form`` also go to six nodes;
 ``census_report`` and the oracle stop at five.
 """
@@ -46,9 +56,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, witness
-from .criterion import _exhaustive_set, _violating_set
+from .criterion import _subsets
 from .errors import SemidentError, SupportViolationError
-from .graphs import MixedGraph, relabel_topologically, require_acyclic
+from .graphs import (
+    MixedGraph,
+    _closure,
+    _first_nodes,
+    _members,
+    relabel_topologically,
+    require_acyclic,
+)
 from .inversion import _step_records
 from .params import phi
 
@@ -156,6 +173,38 @@ def _key_of(n: int, edges: tuple, best: int) -> tuple:
     return n, tuple(key_edges["d"]), tuple(key_edges["b"])
 
 
+#: bits of an image mask that one lookup in ``_key_chunks`` decodes
+_CHUNK_BITS = 10
+
+
+@cache
+def _key_chunks(n: int) -> tuple:
+    """``_key_of`` on n nodes as lookups, ``_CHUNK_BITS`` bits of the image mask at a time.
+
+    Returns ``(shift, table)`` pairs from the highest chunk of the mask down;
+    ``table[v]`` holds the ``(directed, bidirected)`` edges of ``_key_of``
+    for the mask ``v << shift``. Each kind's edges come out sorted when read
+    from the top bit down, so a mask's key is the concatenation of its
+    chunks' edges in this order (``_decode_key``). Built on first use.
+    """
+    edges = _permutation_table(n)[0]
+    chunks = []
+    for shift in reversed(range(0, len(edges), _CHUNK_BITS)):
+        values = range(1 << min(_CHUNK_BITS, len(edges) - shift))
+        chunks.append((shift, tuple(_key_of(n, edges, v << shift)[1:] for v in values)))
+    return tuple(chunks)
+
+
+def _decode_key(n: int, best: int) -> tuple:
+    """``_key_of(n, _permutation_table(n)[0], best)`` by one lookup per chunk of ``best``."""
+    directed, bidirected = (), ()
+    for shift, table in _key_chunks(n):
+        d, b = table[best >> shift & (1 << _CHUNK_BITS) - 1]
+        directed += d
+        bidirected += b
+    return n, directed, bidirected
+
+
 class _MaskTables(NamedTuple):
     """The census's tables for one node count; see ``_mask_tables``."""
 
@@ -203,6 +252,114 @@ def _mask_tables(n: int) -> _MaskTables:
     return _MaskTables(pairs, edges, directed, bidirected, tuple(parents), tuple(siblings))
 
 
+class _ScanTables(NamedTuple):
+    """The oracle's subset scan for one node count; see ``_scan_tables``."""
+
+    sets: tuple
+    arbor: np.ndarray
+    conn: np.ndarray
+
+
+@cache
+def _scan_tables(n: int) -> _ScanTables:
+    """The exhaustive induced-subgraph scan on n nodes as two bitset tables over pair masks.
+
+    ``sets`` lists the node masks of ``criterion._subsets(n)`` in scan order
+    (at most 26 at n = 5). Bit k of ``arbor[dmask]`` is set when every node
+    of ``sets[k]`` reaches its largest node by a directed path inside it, in
+    the directed part of the pair mask ``dmask`` of ``_mask_tables(n)``, and
+    bit k of ``conn[bmask]`` when the bidirected part of ``bmask`` connects
+    ``sets[k]``. Upper-triangular graphs carry topological labels, so only
+    the largest node of a set can be reached from all the others, and that
+    node is the sink ``_exhaustive_set`` finds. uint64, read-only, built on
+    first use. Shares ``_closure`` with the fixpoint search and nothing else.
+    """
+    tables = _mask_tables(n)
+    subsets = list(_subsets(n))
+
+    def bitset(adj: tuple) -> int:
+        return sum(
+            1 << k
+            for k, (mask, nodes) in enumerate(subsets)
+            if _closure(adj, nodes[-1], mask) == mask
+        )
+
+    arbor = np.array([bitset(parents) for parents in tables.parents], dtype=np.uint64)
+    conn = np.array([bitset(siblings) for siblings in tables.siblings], dtype=np.uint64)
+    for a in (arbor, conn):
+        a.flags.writeable = False
+    return _ScanTables(tuple(mask for mask, _ in subsets), arbor, conn)
+
+
+def _table_scan(n: int, dmask: int, bmask: int) -> tuple[int, int] | None:
+    """``_exhaustive_set`` on the graph ``(dmask, bmask)``: ``(set mask, sink)`` or None.
+
+    The first violating set of the scan is the lowest bit set in both
+    ``arbor[dmask]`` and ``conn[bmask]`` of ``_scan_tables(n)``, and its sink
+    is its largest node.
+    """
+    scan = _scan_tables(n)
+    both = int(scan.arbor[dmask] & scan.conn[bmask])
+    if not both:
+        return None
+    a = scan.sets[(both & -both).bit_length() - 1]
+    return a, a.bit_length() - 1
+
+
+@cache
+def _fixpoint_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1's closure tables on n nodes: ``(reach, comp)``, indexed ``[mask, y, a]``.
+
+    ``reach[mask, y, a]`` is ``_closure(parents, y, a)`` on the directed
+    part of the pair mask ``mask`` of ``_mask_tables(n)``, and
+    ``comp[mask, y, a]`` the same on its bidirected part, for every node y
+    and every node mask a of nodes 1..y that holds y: the only sets the
+    fixpoint search meets at sink y. The other entries are 0 and never read.
+    uint8, read-only, built on first use.
+    """
+    tables = _mask_tables(n)
+    ys, sets = zip(
+        *((y, 1 << y | s << 1) for y in range(1, n + 1) for s in range(1 << (y - 1)))
+    )
+    out = []
+    for adjs in (tables.parents, tables.siblings):
+        table = np.zeros((len(adjs), n + 1, 2 << n), dtype=np.uint8)
+        table[:, ys, sets] = [[_closure(adj, y, s) for y, s in zip(ys, sets)] for adj in adjs]
+        table.flags.writeable = False
+        out.append(table)
+    return out[0], out[1]
+
+
+def _fixpoint_sets(n: int, dmasks: np.ndarray, bmasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``criterion._violating_set`` on every representative ``(dmasks[i], bmasks[i])`` at once.
+
+    Returns ``(sets, sinks)``: each representative's violating set as a node
+    mask and its sink, both 0 where it has none. The search is the same: for
+    each sink y, later labels first, start from nodes 1..y and alternate the
+    directed and the bidirected closure until stable; the first sink whose
+    fixpoint keeps at least two nodes wins. Each closure is one lookup in
+    ``_fixpoint_tables(n)`` for every representative still searching, and a
+    stable set stays stable, so the step repeats until no set moves.
+    """
+    reach, comp = _fixpoint_tables(n)
+    sets = np.zeros(len(dmasks), dtype=np.uint8)
+    sinks = np.zeros(len(dmasks), dtype=np.uint8)
+    todo = np.arange(len(dmasks))
+    for y in range(n, 0, -1):
+        d, b = dmasks[todo], bmasks[todo]
+        a = np.full(len(todo), _first_nodes(y), dtype=np.uint8)
+        while True:
+            step = comp[b, y, reach[d, y, a]]
+            if np.array_equal(step, a):
+                break
+            a = step
+        hit = (a & (a - 1)) != 0  # at least two nodes
+        sets[todo[hit]] = a[hit]
+        sinks[todo[hit]] = y
+        todo = todo[~hit]
+    return sets, sinks
+
+
 def _seed_from_key(key: tuple) -> int:
     """Probe seed of a class: the first 8 bytes of the SHA-256 of ``repr(key)``.
 
@@ -232,7 +389,7 @@ def _skeleton_witness(m: int, directed: tuple, bidirected: tuple) -> SkeletonWit
     """The memoized witness check of one skeleton, shared by every class that has it.
 
     The skeleton is given by its edges in local labels 1..m, as
-    ``witness._skeleton_trees`` returns them, so every labeled violating set
+    ``_mask_tree`` returns them, so every labeled violating set
     with one skeleton shares an entry, and the skeleton's ``MixedGraph`` is
     built here only, on a miss. ``phi`` checks each point's support,
     symmetry and positive definiteness on the skeleton. At most a few
@@ -274,31 +431,33 @@ def injectivity_oracle(g: MixedGraph) -> OracleVerdict:
     require_acyclic(g)
     key = canonical_form(g)
     topo, _ = relabel_topologically(MixedGraph(m=g.m, directed=key[1], bidirected=key[2]))
+    return _oracle(key, g.m, *_pair_masks(topo))
+
+
+def _pair_masks(g: MixedGraph) -> tuple[int, int]:
+    """``(dmask, bmask)`` of an upper-triangular graph, over the pairs of ``_mask_tables(g.m)``."""
     bit = {pair: 1 << k for k, pair in enumerate(_mask_tables(g.m).pairs)}
-    dmask = sum(bit[e] for e in topo.directed)
-    bmask = sum(bit[e] for e in topo.bidirected)
-    return _oracle(key, g.m, dmask, bmask)
+    return sum(bit[e] for e in g.directed), sum(bit[e] for e in g.bidirected)
 
 
 def _oracle(key: tuple, n: int, dmask: int, bmask: int) -> OracleVerdict:
     """The oracle kernel on the upper-triangular graph ``(dmask, bmask)`` of ``_mask_tables(n)``.
 
     ``key`` is the graph's canonical key. Runs the exhaustive
-    induced-subgraph scan on the tables' adjacency masks. An injective
-    answer is backed by exact rank conditions at two points. At Lambda = 0,
-    Omega = I the step matrix of node j is I on the rows [j - 1] \\ S and the
-    columns P, of rank |P \\ S|, so step j - 1 fails exactly when some pair
-    (i, j) is both a directed and a bidirected edge. Then the inversion
-    steps walk the integer point ``_probe_point`` on the rational backend;
-    that walk is the only place a ``MixedGraph`` is built for the graph. The
-    first failing step raises. A noninjective answer is backed by an
-    explicit witness pair built inside the set the scan found, checked once
-    per skeleton (``_mask_witness``). Internal failures raise rather than
-    silently passing.
+    induced-subgraph scan as one AND of two bitset tables (``_table_scan``).
+    An injective answer is backed by exact rank conditions at two points. At
+    Lambda = 0, Omega = I the step matrix of node j is I on the rows
+    [j - 1] \\ S and the columns P, of rank |P \\ S|, so step j - 1 fails
+    exactly when some pair (i, j) is both a directed and a bidirected edge.
+    Then the inversion steps walk the integer point ``_probe_point`` on the
+    rational backend; that walk is the only place a ``MixedGraph`` is built
+    for the graph. The first failing step raises. A noninjective answer is
+    backed by an explicit witness pair built inside the set the scan found,
+    checked once per skeleton (``_mask_witness``). Internal failures raise
+    rather than silently passing.
     """
     tables = _mask_tables(n)
-    parents, siblings = tables.parents[dmask], tables.siblings[bmask]
-    hit = _exhaustive_set(parents, siblings)
+    hit = _table_scan(n, dmask, bmask)
     if hit is None:
         failing = [j - 1 for _, j in tables.edges[dmask & bmask]]
         if not failing:
@@ -310,7 +469,7 @@ def _oracle(key: tuple, n: int, dmask: int, bmask: int) -> OracleVerdict:
                 f"subset scan says injective but rank fails at step {min(failing)}"
             )
         return OracleVerdict(True, "exact rank conditions at 2 points")
-    pair = _mask_witness(parents, siblings, hit[0])
+    pair = _mask_witness(n, dmask, bmask, hit[0])
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
     return OracleVerdict(
@@ -346,22 +505,28 @@ def _probe_point(topo: MixedGraph, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return lam, omega
 
 
-def _mask_witness(parents: tuple, siblings: tuple, a: int) -> SkeletonWitness:
+def _mask_witness(n: int, dmask: int, bmask: int, a: int) -> SkeletonWitness:
     """The memoized skeleton check of the witness pair built inside the violating set ``a``.
 
-    ``a`` is a node mask of the topologically labeled graph whose adjacency
-    masks are ``parents`` and ``siblings``; the pair is the one
-    ``witness_from_set`` builds there. Off the skeleton the lifted points
-    take Lambda = 0 and Omega = I, so the lifted I - Lambda is a permuted
-    block diagonal diag(I - Lambda_s, I): the covariance on the graph is the
-    skeleton's embedded in an identity, the lifted Omega is positive
-    definite exactly when the skeleton's is, and residual and separation are
-    the skeleton's (``_skeleton_witness``). What is left to check on the
-    graph is support: every skeleton edge must map onto an edge of the same
-    kind in the masks, or ``SupportViolationError`` is raised.
+    ``a`` is a node mask of the upper-triangular graph ``(dmask, bmask)`` of
+    ``_mask_tables(n)``; the pair is the one ``witness_from_set`` builds
+    there. Off the skeleton the lifted points take Lambda = 0 and Omega = I,
+    so the lifted I - Lambda is a permuted block diagonal
+    diag(I - Lambda_s, I): the covariance on the graph is the skeleton's
+    embedded in an identity, the lifted Omega is positive definite exactly
+    when the skeleton's is, and residual and separation are the skeleton's
+    (``_skeleton_witness``). What is left to check on the graph is support:
+    every edge of the skeleton's trees (``_mask_tree``) must map onto an
+    edge of the same kind in the graph's adjacency masks, or
+    ``SupportViolationError`` is raised.
     """
-    subset, directed, bidirected = witness._skeleton_trees(parents, siblings, a)
-    for kind, edges, adj in (("->", directed, parents), ("<->", bidirected, siblings)):
+    tables = _mask_tables(n)
+    subset = _members(a)
+    directed, bidirected = _mask_tree(n, "->", dmask, a), _mask_tree(n, "<->", bmask, a)
+    for kind, edges, adj in (
+        ("->", directed, tables.parents[dmask]),
+        ("<->", bidirected, tables.siblings[bmask]),
+    ):
         for v, w in edges:
             i, j = subset[v - 1], subset[w - 1]
             if not adj[j] >> i & 1:
@@ -369,6 +534,21 @@ def _mask_witness(parents: tuple, siblings: tuple, a: int) -> SkeletonWitness:
                     f"skeleton edge {v}{kind}{w} maps to {i}{kind}{j}, not an edge of the graph"
                 )
     return _skeleton_witness(len(subset), directed, bidirected)
+
+
+@cache
+def _mask_tree(n: int, kind: str, mask: int, a: int) -> tuple:
+    """``witness._skeleton_tree`` of the node set ``a`` in one part of a pair mask, memoized.
+
+    ``kind`` is ``"->"`` for the directed part of the pair mask ``mask`` of
+    ``_mask_tables(n)`` and ``"<->"`` for its bidirected part. So the trees
+    of a class are memoized by (n, dmask, a) and (n, bmask, a), which many
+    classes share: at most 2 x 1024 x 26 entries at n = 5.
+    """
+    tables = _mask_tables(n)
+    if kind == "->":
+        return witness._skeleton_tree(tables.parents[mask], a)
+    return witness._skeleton_tree(tables.siblings[mask], a, True)
 
 
 @dataclass
@@ -474,27 +654,67 @@ class CensusReport:
         return buf.getvalue()
 
 
-def _classify_directed(dmask: int, n: int, simple_only: bool) -> tuple[list, list, list, list]:
-    """Pass 1, one directed part: every representative ``(dmask, bmask)``, by bmask.
+class _Representatives(NamedTuple):
+    """Pass 1's answers, one entry per representative in enumeration order; see ``_classify``."""
 
-    Returns the lists ``bmasks``, ``best`` (the image mask that names the
-    class, see ``_canonical``), ``n_aut`` (|Aut|) and ``identifiable`` (the
-    fixpoint verdict), one entry per representative. Representatives are
-    upper-triangular, so they carry topological labels and the fixpoint runs
-    on their masks as they are. With ``simple_only``, bidirected parts that
-    share a pair with ``dmask`` are left out.
+    dmasks: np.ndarray
+    bmasks: np.ndarray
+    best: np.ndarray
+    n_aut: np.ndarray
+    identifiable: np.ndarray
+
+
+def _classify(n: int, simple_only: bool) -> _Representatives:
+    """Pass 1: every representative ``(dmask, bmask)`` on n nodes, as arrays.
+
+    Representatives run dmask-major, as ``enumerate_graphs`` yields them;
+    with ``simple_only``, those whose parts share a pair are left out. Per
+    representative, ``best`` is the image mask that names its class (see
+    ``_canonical``), ``n_aut`` its |Aut| and ``identifiable`` the fixpoint
+    verdict (``_fixpoint_sets``). The permutation images of a representative
+    are ``directed[dmask] + bidirected[bmask]`` in ``_mask_tables(n)``, and
+    directed bits sit above bidirected bits, so the largest image is reached
+    only by the permutations that maximize ``directed[dmask]``: per directed
+    part, pass 1 reads the bidirected images of those columns alone.
+    Representatives are upper-triangular, so they carry topological labels
+    and the fixpoint runs on their masks as they are.
     """
     tables = _mask_tables(n)
-    bmasks = np.arange(len(tables.bidirected))
+    count = len(tables.edges)
+    dmasks, bmasks = np.divmod(np.arange(count * count, dtype=np.int32), count)
     if simple_only:
-        bmasks = bmasks[(bmasks & dmask) == 0]
-    images = tables.bidirected[bmasks] + tables.directed[dmask]
-    best = images.max(axis=1)
-    n_aut = np.count_nonzero(images == best[:, None], axis=1)
-    bmasks = bmasks.tolist()
-    parents, siblings = tables.parents[dmask], tables.siblings
-    identifiable = [_violating_set(parents, siblings[b]) is None for b in bmasks]
-    return bmasks, best.tolist(), n_aut.tolist(), identifiable
+        keep = (dmasks & bmasks) == 0
+        dmasks, bmasks = dmasks[keep], bmasks[keep]
+    best = np.empty(len(dmasks), dtype=np.int64)
+    n_aut = np.empty(len(dmasks), dtype=np.int64)
+    bounds = np.searchsorted(dmasks, np.arange(count + 1)).tolist()
+    for dmask, directed in enumerate(tables.directed):
+        top = directed.max()
+        rows = slice(bounds[dmask], bounds[dmask + 1])
+        images = tables.bidirected[np.ix_(bmasks[rows], np.flatnonzero(directed == top))]
+        bidirected = images.max(axis=1)
+        best[rows] = top + bidirected
+        n_aut[rows] = np.count_nonzero(images == bidirected[:, None], axis=1)
+    sets, _ = _fixpoint_sets(n, dmasks, bmasks)
+    return _Representatives(dmasks, bmasks, best, n_aut, sets == 0)
+
+
+def _dedup(n: int, simple_only: bool) -> tuple[list, _Representatives]:
+    """Pass 1 on n nodes, deduplicated: ``(conflicts, firsts)``.
+
+    ``np.unique`` over the largest images of ``_classify`` finds each
+    class's first representative, and its inverse maps every representative
+    to its class. ``conflicts`` lists the ``(dmask, bmask)`` of every
+    representative whose verdict differs from its class's, in enumeration
+    order. ``firsts`` holds ``_classify``'s columns at the first
+    representative of each class, in the order classes first occur.
+    """
+    reps = _classify(n, simple_only)
+    _, first, inverse = np.unique(reps.best, return_index=True, return_inverse=True)
+    wrong = np.flatnonzero(reps.identifiable != reps.identifiable[first][inverse])
+    first.sort()
+    conflicts = list(zip(reps.dmasks[wrong].tolist(), reps.bmasks[wrong].tolist()))
+    return conflicts, _Representatives(*(c[first] for c in reps))
 
 
 def _oracle_disagreement(item: tuple, n: int) -> str | None:
@@ -519,19 +739,21 @@ def _oracle_disagreement(item: tuple, n: int) -> str | None:
 def census_report(n: int, simple_only: bool = False, *, jobs: int = 1) -> CensusReport:
     """Classify every acyclic mixed graph on ``n`` nodes (n <= 5).
 
-    Two streamed passes. The first visits every upper-triangular
-    representative as its pair masks ``(dmask, bmask)``, one work unit per
-    directed part (``_classify_directed``): it runs the fixpoint criterion
-    on the masks and deduplicates the representatives into unlabeled classes
-    by their largest permutation image; every representative's verdict must
-    agree with its class's verdict. Only a new class has its key and edges
-    decoded, its edges by table lookup. The second runs the oracle kernel
-    once per class, on the key and pair masks pass 1 kept for the class's
-    first representative, and its answer must agree with the class's verdict.
-    Every conflict lands in ``disagreements``, with the check that failed
-    (``Disagreement.reason``). The labeled count of a class is n! / |Aut(G)|,
-    the number of distinct labelings of G. Both passes are streamed, in
-    order, to at most ``min(jobs, os.cpu_count())`` worker processes.
+    Two passes. The first classifies every upper-triangular representative
+    at once, as arrays of its pair masks ``(dmask, bmask)`` (``_classify``):
+    the fixpoint criterion on tabulated closures, and the largest
+    permutation image, which names the unlabeled class. ``np.unique`` over
+    those images gives each class's first representative (``_dedup``), and
+    rows follow the order in which classes first occur; every
+    representative's verdict must agree with its class's, and the ones that
+    do not are reported in enumeration order. Only a class decodes its key
+    (``_decode_key``) and edges, both by table lookup. The second runs the oracle kernel once per class, on the
+    key and pair masks of the class's first representative, and its answer
+    must agree with the class's verdict. Every conflict lands in
+    ``disagreements``, with the check that failed (``Disagreement.reason``).
+    The labeled count of a class is n! / |Aut(G)|, the number of distinct
+    labelings of G. The second pass is streamed, in order, to at most
+    ``min(jobs, os.cpu_count())`` worker processes.
     """
     if not isinstance(n, Integral) or not 1 <= n <= 5:
         raise SemidentError(f"census_report supports integers 1 <= n <= 5, got {n!r}")
@@ -539,39 +761,32 @@ def census_report(n: int, simple_only: bool = False, *, jobs: int = 1) -> Census
         raise SemidentError(f"census_report needs an integer jobs >= 1, got {jobs!r}")
     workers = min(jobs, os.cpu_count() or 1)
     report = CensusReport(n=n, simple_only=simple_only)
-    classes: dict[int, CensusRow] = {}
-    work = []  # pass 2's items, one per class in row order
     factorial = math.factorial(n)
-    edges = _permutation_table(n)[0]
-    tables = _mask_tables(n)
+    edges = _mask_tables(n).edges
+    conflicts, firsts = _dedup(n, simple_only)
+    for dmask, bmask in conflicts:
+        report.disagreements.append(Disagreement(edges[dmask], edges[bmask], "verdict"))
+    work = []  # pass 2's items, one per class in row order
+    for dmask, bmask, best, n_aut, identifiable in zip(*(c.tolist() for c in firsts)):
+        key = _decode_key(n, best)
+        report.rows.append(
+            CensusRow(
+                key=key,
+                directed=edges[dmask],
+                bidirected=edges[bmask],
+                simple=not dmask & bmask,
+                identifiable=identifiable,
+                labeled_count=factorial // n_aut,
+            )
+        )
+        work.append((key, dmask, bmask, identifiable))
+    _scan_tables(n)  # built before the pool starts, so forked workers inherit it
+    check = partial(_oracle_disagreement, n=n)
+    # four chunks per worker, as Pool.map sizes them: a class costs microseconds
+    chunksize = -(-len(work) // (4 * workers))
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-
-        def stream(func, items, chunksize):
-            return pool.imap(func, items, chunksize=chunksize) if pool else map(func, items)
-
-        unit = partial(_classify_directed, n=n, simple_only=simple_only)
-        units = stream(unit, range(len(tables.edges)), 4)
-        for dmask, (bmasks, bests, auts, verdicts) in enumerate(units):
-            for bmask, best, n_aut, identifiable in zip(bmasks, bests, auts, verdicts):
-                row = classes.get(best)
-                if row is None:
-                    key = _key_of(n, edges, best)
-                    classes[best] = CensusRow(
-                        key=key,
-                        directed=tables.edges[dmask],
-                        bidirected=tables.edges[bmask],
-                        simple=not dmask & bmask,
-                        identifiable=identifiable,
-                        labeled_count=factorial // n_aut,
-                    )
-                    work.append((key, dmask, bmask, identifiable))
-                elif row.identifiable != identifiable:
-                    report.disagreements.append(
-                        Disagreement(tables.edges[dmask], tables.edges[bmask], "verdict")
-                    )
-        report.rows = list(classes.values())
-        check = partial(_oracle_disagreement, n=n)
-        for row, reason in zip(report.rows, stream(check, work, 8)):
+        reasons = pool.imap(check, work, chunksize=chunksize) if pool else map(check, work)
+        for row, reason in zip(report.rows, reasons):
             if reason is not None:
                 report.disagreements.append(Disagreement(row.directed, row.bidirected, reason))
     return report

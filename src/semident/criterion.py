@@ -82,7 +82,8 @@ def _violating_set(parents: tuple, siblings: tuple) -> tuple[int, int] | None:
 
     ``parents`` and ``siblings`` are per-node masks as ``MixedGraph`` stores
     them (index 0 unused) of a topologically labeled acyclic graph; nothing
-    here checks that. The census runs this on masks it builds itself.
+    here checks that. The census runs the same search on tabulated closures
+    (``census._fixpoint_sets``), and its tests pin that to this one.
     """
     for y in range(len(parents) - 1, 0, -1):
         a = _first_nodes(y)  # only nodes 1..y can reach y
@@ -101,7 +102,8 @@ def find_violating_set_exhaustive(g: MixedGraph) -> tuple[tuple, int] | None:
     """Scan every induced subgraph for the criterion's two conditions.
 
     Exponential in the node count; retained as the independent oracle that
-    cross-validates the fixpoint search (census uses it up to five nodes).
+    cross-validates the fixpoint search (the census reads the same scan from
+    bitset tables up to five nodes).
     Each subset's mask is built once and both closure tests run on it: the
     bidirected part connects the subset, and some node of it is reached from
     every other inside it.
@@ -119,8 +121,9 @@ def _exhaustive_set(parents: tuple, siblings: tuple) -> tuple[int, int] | None:
 
     ``parents`` and ``siblings`` are per-node masks as ``MixedGraph`` stores
     them (index 0 unused); nothing here checks acyclicity. The census oracle
-    runs this on the masks of its pass-1 tables. Shares ``_closure`` with the
-    fixpoint search and nothing else.
+    reads the same scan from bitset tables (``census._table_scan``), and its
+    tests pin that to this one. Shares ``_closure`` with the fixpoint search
+    and nothing else.
     """
     m = len(parents) - 1
     for mask, nodes in _subsets(m):

@@ -211,24 +211,32 @@ def _skeleton_trees(parents, siblings, mask: int) -> tuple[list, tuple, tuple]:
 
     ``parents`` and ``siblings`` map each node of ``mask`` (at least) to its
     adjacency mask. The skeleton holds BFS trees toward the set's sink: a
-    shortest-path arborescence and a bidirected spanning tree. Every node of
-    a violating set is an ancestor of its sink, so the sink is the largest
-    node. Returns ``(subset, directed, bidirected)``: the nodes of ``mask`` in
-    ascending order, and the trees' edges in local labels (node ``subset[k]``
-    is k + 1), sorted, bidirected pairs as ``(min, max)``. Relabeling in
-    order keeps the ascending neighbour order of ``_bfs``, so the local trees
-    are those a walk of the relabeled subgraph gives.
+    shortest-path arborescence and a bidirected spanning tree
+    (``_skeleton_tree``). Returns ``(subset, directed, bidirected)``: the
+    nodes of ``mask`` in ascending order, and the trees' edges in local
+    labels (node ``subset[k]`` is k + 1).
     """
-    subset = _members(mask)
-    local = {v: k for k, v in enumerate(subset, 1)}
-    sink = subset[-1]
-    arb, tree = _bfs(parents, sink, mask), _bfs(siblings, sink, mask)
-    del arb[sink], tree[sink]  # the roots, mapped to None
-    directed = sorted([(local[v], local[w]) for v, w in arb.items()])
-    bidirected = sorted(
-        [(local[v], local[w]) if v < w else (local[w], local[v]) for v, w in tree.items()]
-    )
-    return subset, tuple(directed), tuple(bidirected)
+    return _members(mask), _skeleton_tree(parents, mask), _skeleton_tree(siblings, mask, True)
+
+
+def _skeleton_tree(adj, mask: int, symmetric: bool = False) -> tuple:
+    """One BFS tree of the skeleton of the subgraph induced on ``mask``, along ``adj``.
+
+    Every node of a violating set is an ancestor of its sink, so the sink is
+    the largest node of ``mask``, and the walk starts there. The edges come
+    in local labels (the k-th smallest node of ``mask`` is k), sorted, and
+    with ``symmetric`` as ``(min, max)`` pairs. Relabeling in order keeps the
+    ascending neighbour order of ``_bfs``, so the local tree is the one a
+    walk of the relabeled subgraph gives.
+    """
+    local = {v: k for k, v in enumerate(_members(mask), 1)}
+    sink = mask.bit_length() - 1
+    tree = _bfs(adj, sink, mask)
+    del tree[sink]  # the root, mapped to None
+    edges = [(local[v], local[w]) for v, w in tree.items()]
+    if symmetric:
+        edges = [(min(e), max(e)) for e in edges]
+    return tuple(sorted(edges))
 
 
 def _skeleton_points(skeleton: MixedGraph, backend: str) -> tuple[np.ndarray, ...]:

@@ -28,6 +28,7 @@ from semident.errors import CyclicDirectedPartError, SemidentError, SupportViola
 from semident.graphs import (
     MixedGraph,
     _bfs,
+    _members,
     _node_mask,
     is_simple,
     relabel,
@@ -196,7 +197,7 @@ CENSUS_N5_CSV_SHA256 = "0ab69774b5af12b14e7458ed70f5d84154dc895bdd838df402090518
 
 @pytest.mark.slow
 def test_census_report_five_nodes():
-    # under a minute serially; deselected by default, run with ``pytest -m slow``
+    # about ten seconds serially; deselected by default, run with ``pytest -m slow``
     report = census_report(5)
     assert report.disagreements == []
     assert report.unlabeled_total == 256_190
@@ -218,18 +219,17 @@ def test_mask_pass_matches_every_representative(simple_only):
         graphs = enumerate_graphs(n, simple_only=simple_only)
         edges, pairs = census._permutation_table(n)[0], census._mask_tables(n).pairs
         first = {}
-        for dmask in range(1 << len(pairs)):
-            for bmask, best, n_aut, identifiable in zip(
-                *census._classify_directed(dmask, n, simple_only)
-            ):
-                g = next(graphs)
-                assert g.directed == {p for k, p in enumerate(pairs) if dmask >> k & 1}
-                assert g.bidirected == {p for k, p in enumerate(pairs) if bmask >> k & 1}
-                key = census._key_of(n, edges, best)
-                assert (key, n_aut) == census._canonical(g)
-                assert (not dmask & bmask) == is_simple(g)
-                assert identifiable == (semident.criterion.find_violating_set(g) is None)
-                first.setdefault(key, (g, identifiable, n_aut))
+        reps = census._classify(n, simple_only)
+        for dmask, bmask, best, n_aut, identifiable in zip(*(c.tolist() for c in reps)):
+            g = next(graphs)
+            assert g.directed == {p for k, p in enumerate(pairs) if dmask >> k & 1}
+            assert g.bidirected == {p for k, p in enumerate(pairs) if bmask >> k & 1}
+            key = census._key_of(n, edges, best)
+            assert census._decode_key(n, best) == key
+            assert (key, n_aut) == census._canonical(g)
+            assert (not dmask & bmask) == is_simple(g)
+            assert identifiable == (semident.criterion.find_violating_set(g) is None)
+            first.setdefault(key, (g, identifiable, n_aut))
         assert next(graphs, None) is None
         report = census_report(n, simple_only=simple_only)
         assert [row.key for row in report.rows] == list(first)
@@ -241,6 +241,30 @@ def test_mask_pass_matches_every_representative(simple_only):
             )
             assert (row.simple, row.identifiable) == (is_simple(g), identifiable)
             assert row.labeled_count == math.factorial(n) // n_aut
+
+
+def _check_scan_and_fixpoint_tables(n, dmasks, bmasks):
+    """The oracle's bitset scan against ``_exhaustive_set`` and pass 1's
+    tabulated fixpoint against ``_violating_set``, on each ``(dmask, bmask)``."""
+    census, criterion = semident.census, semident.criterion
+    tables = census._mask_tables(n)
+    sets, sinks = census._fixpoint_sets(n, dmasks, bmasks)
+    for dmask, bmask, a, y in zip(dmasks.tolist(), bmasks.tolist(), sets.tolist(), sinks.tolist()):
+        parents, siblings = tables.parents[dmask], tables.siblings[bmask]
+        assert census._table_scan(n, dmask, bmask) == criterion._exhaustive_set(parents, siblings)
+        assert ((a, y) if a else None) == criterion._violating_set(parents, siblings)
+
+
+@pytest.mark.parametrize("simple_only", [False, True])
+def test_tables_match_the_scan_and_the_fixpoint_on_every_representative(simple_only):
+    for n in range(1, 5):
+        reps = semident.census._classify(n, simple_only)
+        _check_scan_and_fixpoint_tables(n, reps.dmasks, reps.bmasks)
+
+
+def test_tables_match_the_scan_and_the_fixpoint_on_sampled_five_node_representatives():
+    dmasks, bmasks = np.random.default_rng(26).integers(0, 1 << 10, size=(2, 20_000))
+    _check_scan_and_fixpoint_tables(5, dmasks, bmasks)
 
 
 def test_census_report_parallel_matches_serial():
@@ -363,15 +387,17 @@ def test_flipped_verdict_of_a_later_representative_is_a_disagreement(monkeypatch
             later = g  # not the first representative of its class
             break
         seen.add(key)
-    search = semident.census._violating_set
+    census = semident.census
+    later_dmask, later_bmask = census._pair_masks(later)
+    search = census._fixpoint_sets
 
-    def flipped(parents, siblings):
-        hit = search(parents, siblings)
-        if (parents, siblings) == (later._parents, later._siblings):
-            return (0b110, 2) if hit is None else None
-        return hit
+    def flipped(n, dmasks, bmasks):
+        sets, sinks = search(n, dmasks, bmasks)
+        (i,) = np.flatnonzero((dmasks == later_dmask) & (bmasks == later_bmask))
+        sets[i] = 0 if sets[i] else 0b110
+        return sets, sinks
 
-    monkeypatch.setattr(semident.census, "_violating_set", flipped)
+    monkeypatch.setattr(census, "_fixpoint_sets", flipped)
     report = census_report(3)
     edges = (tuple(sorted(later.directed)), tuple(sorted(later.bidirected)))
     assert report.disagreements == [(*edges, "verdict")]
@@ -442,7 +468,7 @@ def test_identity_point_closed_form_matches_the_exact_walk(monkeypatch):
     # force the injective branch on every representative and let the exact
     # point pass, so only the closed form for Lambda = 0, Omega = I can raise
     census = semident.census
-    monkeypatch.setattr(census, "_exhaustive_set", lambda parents, siblings: None)
+    monkeypatch.setattr(census, "_table_scan", lambda n, dmask, bmask: None)
     monkeypatch.setattr(census, "_step_records", lambda topo, lam, omega: iter(()))
     failed = 0
     for n in range(1, 5):
@@ -538,7 +564,7 @@ def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
 def test_first_failing_probe_names_its_own_step(monkeypatch):
     # a chain with the bow 3 -> 4, 3 <-> 4, which the scan is made to call injective
     g = MixedGraph(m=4, directed={(1, 2), (2, 3), (3, 4)}, bidirected={(3, 4)})
-    monkeypatch.setattr(semident.census, "_exhaustive_set", lambda parents, siblings: None)
+    monkeypatch.setattr(semident.census, "_table_scan", lambda n, dmask, bmask: None)
     # the exact point fails every step, but Lambda = 0, Omega = I comes first
     # and loses rank at step 3 only
     lam, omega = _rebind_probe_point(monkeypatch, [0, 0, 0, 0])
@@ -594,10 +620,9 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
         if hit is not None:
             noninjective.append((g, topo, to_topo, hit))
     assert len(noninjective) > 1403 + 150
+    census = semident.census
     for g, topo, to_topo, hit in noninjective:
-        check = semident.census._mask_witness(
-            topo._parents, topo._siblings, _node_mask(topo, hit[0])
-        )
+        check = census._mask_witness(topo.m, *census._pair_masks(topo), _node_mask(topo, hit[0]))
         ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
         assert (check.residual, check.separation) == (ref.residual, ref.separation)
         assert check.residual == 0 and check.separation != 0
@@ -619,36 +644,75 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
 
 
 def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(monkeypatch, iv_graph):
-    a, _ = semident.criterion._exhaustive_set(iv_graph._parents, iv_graph._siblings)
-    trees = witness._skeleton_trees(iv_graph._parents, iv_graph._siblings, a)
-    # the iv graph's skeleton, checked on graphs that lack one of its edges
-    monkeypatch.setattr(witness, "_skeleton_trees", lambda *args: trees)
+    census = semident.census
+    dmask, bmask = census._pair_masks(iv_graph)
+    a, _ = census._table_scan(3, dmask, bmask)
+    trees = {"->": census._mask_tree(3, "->", dmask, a), "<->": census._mask_tree(3, "<->", bmask, a)}
+    # the iv graph's skeleton trees, checked on graphs that lack one of their edges
+    monkeypatch.setattr(census, "_mask_tree", lambda n, kind, mask, a: trees[kind])
     without_bow = MixedGraph(m=3, directed={(1, 2)}, bidirected={(2, 3)})
     with pytest.raises(SupportViolationError, match="skeleton edge 1->2 maps to 2->3, not an edge"):
-        semident.census._mask_witness(without_bow._parents, without_bow._siblings, a)
+        census._mask_witness(3, *census._pair_masks(without_bow), a)
     without_sibling = MixedGraph(m=3, directed={(1, 2), (2, 3)})
     with pytest.raises(SupportViolationError, match="edge 1<->2 maps to 2<->3, not an edge"):
-        semident.census._mask_witness(without_sibling._parents, without_sibling._siblings, a)
+        census._mask_witness(3, *census._pair_masks(without_sibling), a)
 
 
 def test_skeleton_edge_off_the_graph_is_an_oracle_error_in_the_census(monkeypatch, iv_graph):
+    census = semident.census
     target = canonical_form(iv_graph)
-    trees_of = witness._skeleton_trees
+    iv_dmask, _ = census._pair_masks(iv_graph)
+    tree_of = census._mask_tree
 
-    def reversed_positions(parents, siblings, a):
-        subset, directed, bidirected = trees_of(parents, siblings, a)
-        # the iv graph is its class's only upper-triangular representative
-        if (parents, siblings) == (iv_graph._parents, iv_graph._siblings):
-            subset = subset[::-1]
-        return subset, directed, bidirected
+    def reversed_edges(n, kind, mask, a):
+        tree = tree_of(n, kind, mask, a)
+        # the iv graph is its class's only upper-triangular representative,
+        # and the only one on three nodes whose scan finds {2, 3} in this part
+        if (n, kind, mask, a) == (3, "->", iv_dmask, 0b1100):
+            return tuple((w, v) for v, w in tree)
+        return tree
 
-    monkeypatch.setattr(witness, "_skeleton_trees", reversed_positions)
+    monkeypatch.setattr(census, "_mask_tree", reversed_edges)
     report = census_report(3)
     (row,) = [r for r in report.rows if r.key == target]
     (item,) = report.disagreements
     assert item[:2] == (row.directed, row.bidirected)
-    assert item.reason.startswith("oracle error: skeleton edge 1->2 maps to ")
-    assert item.reason.endswith(", not an edge of the graph")
+    assert item.reason == "oracle error: skeleton edge 2->1 maps to 3->2, not an edge of the graph"
+
+
+def test_memoized_skeleton_trees_match_the_graph_walk():
+    census = semident.census
+    checked = 0
+    for n in range(1, 5):
+        tables = census._mask_tables(n)
+        for _, dmask, bmask in _first_representatives(n):
+            hit = census._table_scan(n, dmask, bmask)
+            if hit is None:
+                continue
+            a = hit[0]
+            memo = (census._mask_tree(n, "->", dmask, a), census._mask_tree(n, "<->", bmask, a))
+            trees = witness._skeleton_trees(tables.parents[dmask], tables.siblings[bmask], a)
+            assert trees[1:] == memo
+            g = _mask_graph(n, dmask, bmask)
+            assert witness._skeleton_trees(g._parents, g._siblings, a) == trees
+            skeleton, pos = _reference_skeleton(g, {v: v for v in g.nodes}, _members(a))
+            assert skeleton == MixedGraph(m=len(pos), directed=memo[0], bidirected=memo[1])
+            assert pos == [v - 1 for v in trees[0]]
+            checked += 1
+    assert checked == 1403  # the noninjective classes on n <= 4
+
+
+def test_census_oracle_shares_only_closure_with_the_fixpoint(count_calls):
+    census = semident.census
+    classes = _first_representatives(4)
+    calls = [
+        count_calls(census, "_fixpoint_sets"),
+        count_calls(census, "_fixpoint_tables"),
+        count_calls(semident.criterion, "_violating_set"),
+    ]
+    verdicts = [census._oracle(key, 4, dmask, bmask) for key, dmask, bmask in classes]
+    assert sum(not v.injective for v in verdicts) == 1377
+    assert calls == [[], [], []]
 
 
 def test_skeleton_memo_is_read_only_and_used_by_the_oracle_only(iv_graph):
@@ -677,10 +741,10 @@ def _first_representatives(n):
     """(key, dmask, bmask) of every class's first representative on n nodes, in census order."""
     census = semident.census
     edges = census._permutation_table(n)[0]
+    reps = census._classify(n, False)
     first = {}
-    for dmask in range(len(census._mask_tables(n).edges)):
-        for bmask, best, _, _ in zip(*census._classify_directed(dmask, n, False)):
-            first.setdefault(best, (census._key_of(n, edges, best), dmask, bmask))
+    for dmask, bmask, best in zip(reps.dmasks.tolist(), reps.bmasks.tolist(), reps.best.tolist()):
+        first.setdefault(best, (census._key_of(n, edges, best), dmask, bmask))
     return list(first.values())
 
 
