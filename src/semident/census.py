@@ -21,14 +21,16 @@ over the subsets the scan visits (``_scan_tables``): bit k of
 ``arbor[dmask]`` says the k-th subset has a converging arborescence, bit k
 of ``conn[bmask]`` that its bidirected part is connected, so the first
 violating set is the lowest bit of one AND. The skeleton's BFS trees are
-memoized per pair mask and set (``_mask_tree``). Representatives already
-carry topological labels, so nothing is relabeled or keyed again. The
-kernel builds a graph object only for an injective class's step walk and
-for a skeleton the witness memo has not met yet; the memo is keyed by the
-skeleton's own edges, so labeled violating sets with one skeleton share an
-entry. ``injectivity_oracle``, the public entry for any labeling, keys its
-graph and runs the same kernel on the canonical graph, so its evidence does
-not depend on the labeling it was given.
+memoized per pair mask and set, and checked against that part's edges
+when an entry is filled (``_mask_tree``). Representatives already carry
+topological labels, so nothing is relabeled or keyed again. An injective
+class's step walk reads the adjacency masks of ``_mask_tables``, so the
+kernel builds a graph object only for a skeleton the witness memo has not
+met yet; the memo is keyed by the skeleton's own edges, so labeled
+violating sets with one skeleton share an entry. ``injectivity_oracle``,
+the public entry for any labeling, keys its graph and runs the same kernel
+on the canonical graph, so its evidence does not depend on the labeling it
+was given.
 The integer probe point of a class is drawn by a generator seeded with a
 hash of the class's canonical key, so it does not depend on the order or
 the process in which classes are checked. The oracle shares nothing with
@@ -55,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, witness
+from . import witness
 from .criterion import _subsets
 from .errors import SemidentError, SupportViolationError
 from .graphs import (
@@ -67,7 +69,6 @@ from .graphs import (
     require_acyclic,
 )
 from .inversion import _step_records
-from .params import phi
 
 #: hard cap on census node counts
 MAX_N = 6
@@ -374,14 +375,14 @@ class SkeletonWitness(NamedTuple):
 
     ``points`` are ``witness._skeleton_points(skeleton, "rational")``
     (read-only), ``sigma`` is the read-only covariance of the first point,
-    and ``residual`` and ``separation`` are the pair's exact max-norm
-    differences of covariance and of parameters.
+    and ``separation`` and ``residual`` are the pair's exact max-norm
+    differences of parameters and of covariance (``witness._checked_pair``).
     """
 
     points: tuple
     sigma: np.ndarray
-    residual: float
     separation: float
+    residual: float
 
 
 @cache
@@ -391,19 +392,14 @@ def _skeleton_witness(m: int, directed: tuple, bidirected: tuple) -> SkeletonWit
     The skeleton is given by its edges in local labels 1..m, as
     ``_mask_tree`` returns them, so every labeled violating set
     with one skeleton shares an entry, and the skeleton's ``MixedGraph`` is
-    built here only, on a miss. ``phi`` checks each point's support,
-    symmetry and positive definiteness on the skeleton. At most a few
-    thousand entries per process, since m <= 5.
+    built here only, on a miss. At most a few thousand entries per process,
+    since m <= 5.
     """
     skeleton = MixedGraph(m=m, directed=directed, bidirected=bidirected)
     points = witness._skeleton_points(skeleton, "rational")
-    sigma_a = phi(skeleton, *points[:2])
-    sigma_b = phi(skeleton, *points[2:])
-    sigma_a.flags.writeable = False
-    separation = max(
-        linalg.max_abs_diff(points[0], points[2]), linalg.max_abs_diff(points[1], points[3])
-    )
-    return SkeletonWitness(points, sigma_a, linalg.max_abs_diff(sigma_a, sigma_b), separation)
+    check = SkeletonWitness(points, *witness._checked_pair(skeleton, points[:2], points[2:]))
+    check.sigma.flags.writeable = False
+    return check
 
 
 @dataclass
@@ -450,26 +446,37 @@ def _oracle(key: tuple, n: int, dmask: int, bmask: int) -> OracleVerdict:
     [j - 1] \\ S and the columns P, of rank |P \\ S|, so step j - 1 fails
     exactly when some pair (i, j) is both a directed and a bidirected edge.
     Then the inversion steps walk the integer point ``_probe_point`` on the
-    rational backend; that walk is the only place a ``MixedGraph`` is built
-    for the graph. The first failing step raises. A noninjective answer is
-    backed by an explicit witness pair built inside the set the scan found,
-    checked once per skeleton (``_mask_witness``). Internal failures raise
-    rather than silently passing.
+    rational backend, on the graph's adjacency masks. The first failing step
+    raises.
+
+    A noninjective answer is backed by the witness pair ``witness_from_set``
+    builds inside the set the scan found, checked once per skeleton
+    (``_skeleton_witness``). Off the skeleton the lifted points take
+    Lambda = 0 and Omega = I, so the lifted I - Lambda is a permuted block
+    diagonal diag(I - Lambda_s, I): the covariance on the graph is the
+    skeleton's embedded in an identity, the lifted Omega is positive definite
+    exactly when the skeleton's is, and residual and separation are the
+    skeleton's. What is left to check on the graph is support, which
+    ``_mask_tree`` checks once per tree. Internal failures raise rather than
+    silently passing.
     """
     tables = _mask_tables(n)
     hit = _table_scan(n, dmask, bmask)
     if hit is None:
         failing = [j - 1 for _, j in tables.edges[dmask & bmask]]
         if not failing:
-            topo = MixedGraph(m=n, directed=tables.edges[dmask], bidirected=tables.edges[bmask])
-            records = _step_records(topo, *_probe_point(topo, key))
+            point = _probe_point(n, tables.edges[dmask], tables.edges[bmask], key)
+            records = _step_records(tables.parents[dmask], tables.siblings[bmask], *point)
             failing = [rec.step for rec in records if not rec.passed]
         if failing:
             raise SemidentError(
                 f"subset scan says injective but rank fails at step {min(failing)}"
             )
         return OracleVerdict(True, "exact rank conditions at 2 points")
-    pair = _mask_witness(n, dmask, bmask, hit[0])
+    a = hit[0]
+    pair = _skeleton_witness(
+        a.bit_count(), _mask_tree(n, "->", dmask, a), _mask_tree(n, "<->", bmask, a)
+    )
     if pair.residual != 0 or pair.separation == 0:
         raise SemidentError("witness construction produced an invalid pair")
     return OracleVerdict(
@@ -477,21 +484,23 @@ def _oracle(key: tuple, n: int, dmask: int, bmask: int) -> OracleVerdict:
     )
 
 
-def _probe_point(topo: MixedGraph, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _probe_point(
+    m: int, directed: tuple, bidirected: tuple, key: tuple
+) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's exact probe point: object arrays of Python ints Lambda and Omega.
 
-    One draw of a ``random.Random`` seeded at ``_seed_from_key(key)``: one
-    block of 64-bit words, one per edge, the directed edges' and then the
-    bidirected edges', in sorted edge order. The top 17 bits of each word,
+    ``directed`` and ``bidirected`` are the sorted edges of a graph on m
+    nodes. One draw of a ``random.Random`` seeded at ``_seed_from_key(key)``:
+    one block of 64-bit words, one per edge, the directed edges' and then the
+    bidirected edges', in that order. The top 17 bits of each word,
     less 2**16, give an integer in [-2**16, 2**16). Index arrays
     scatter them into Lambda and Omega, Omega symmetric, and every diagonal
     entry of Omega is 1 plus its row's absolute sum, so Omega is strictly
     diagonally dominant and positive definite (``sample_parameters``' rule).
     """
-    m = topo.m
-    edges = np.array(sorted(topo.directed) + sorted(topo.bidirected), dtype=np.intp)
+    edges = np.array(directed + bidirected, dtype=np.intp)
     rows, cols = edges.reshape(-1, 2).T - 1
-    n_dir = len(topo.directed)
+    n_dir = len(directed)
     rng = random.Random(_seed_from_key(key))
     words = np.frombuffer(rng.randbytes(8 * len(edges)), dtype="<u8") >> np.uint64(47)
     draws = (words.astype(np.int64) - 2**16).astype(object)
@@ -505,50 +514,29 @@ def _probe_point(topo: MixedGraph, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return lam, omega
 
 
-def _mask_witness(n: int, dmask: int, bmask: int, a: int) -> SkeletonWitness:
-    """The memoized skeleton check of the witness pair built inside the violating set ``a``.
-
-    ``a`` is a node mask of the upper-triangular graph ``(dmask, bmask)`` of
-    ``_mask_tables(n)``; the pair is the one ``witness_from_set`` builds
-    there. Off the skeleton the lifted points take Lambda = 0 and Omega = I,
-    so the lifted I - Lambda is a permuted block diagonal
-    diag(I - Lambda_s, I): the covariance on the graph is the skeleton's
-    embedded in an identity, the lifted Omega is positive definite exactly
-    when the skeleton's is, and residual and separation are the skeleton's
-    (``_skeleton_witness``). What is left to check on the graph is support:
-    every edge of the skeleton's trees (``_mask_tree``) must map onto an
-    edge of the same kind in the graph's adjacency masks, or
-    ``SupportViolationError`` is raised.
-    """
-    tables = _mask_tables(n)
-    subset = _members(a)
-    directed, bidirected = _mask_tree(n, "->", dmask, a), _mask_tree(n, "<->", bmask, a)
-    for kind, edges, adj in (
-        ("->", directed, tables.parents[dmask]),
-        ("<->", bidirected, tables.siblings[bmask]),
-    ):
-        for v, w in edges:
-            i, j = subset[v - 1], subset[w - 1]
-            if not adj[j] >> i & 1:
-                raise SupportViolationError(
-                    f"skeleton edge {v}{kind}{w} maps to {i}{kind}{j}, not an edge of the graph"
-                )
-    return _skeleton_witness(len(subset), directed, bidirected)
-
-
 @cache
 def _mask_tree(n: int, kind: str, mask: int, a: int) -> tuple:
-    """``witness._skeleton_tree`` of the node set ``a`` in one part of a pair mask, memoized.
+    """``witness._skeleton_tree`` of the node set ``a`` in one part of a pair mask, checked.
 
     ``kind`` is ``"->"`` for the directed part of the pair mask ``mask`` of
     ``_mask_tables(n)`` and ``"<->"`` for its bidirected part. So the trees
     of a class are memoized by (n, dmask, a) and (n, bmask, a), which many
-    classes share: at most 2 x 1024 x 26 entries at n = 5.
+    classes share: at most 2 x 1024 x 26 entries at n = 5. Every edge of the
+    tree must map onto an edge of the same kind in that part's adjacency
+    masks, or ``SupportViolationError`` is raised. The check reads only the
+    memo's key, so it runs once per entry.
     """
     tables = _mask_tables(n)
-    if kind == "->":
-        return witness._skeleton_tree(tables.parents[mask], a)
-    return witness._skeleton_tree(tables.siblings[mask], a, True)
+    adj = tables.parents[mask] if kind == "->" else tables.siblings[mask]
+    tree = witness._skeleton_tree(adj, a, kind == "<->")
+    subset = _members(a)
+    for v, w in tree:
+        i, j = subset[v - 1], subset[w - 1]
+        if not adj[j] >> i & 1:
+            raise SupportViolationError(
+                f"skeleton edge {v}{kind}{w} maps to {i}{kind}{j}, not an edge of the graph"
+            )
+    return tree
 
 
 @dataclass
@@ -747,9 +735,10 @@ def census_report(n: int, simple_only: bool = False, *, jobs: int = 1) -> Census
     rows follow the order in which classes first occur; every
     representative's verdict must agree with its class's, and the ones that
     do not are reported in enumeration order. Only a class decodes its key
-    (``_decode_key``) and edges, both by table lookup. The second runs the oracle kernel once per class, on the
-    key and pair masks of the class's first representative, and its answer
-    must agree with the class's verdict. Every conflict lands in
+    (``_decode_key``) and edges, both by table lookup. The second runs the
+    oracle kernel once per class, on the key and pair masks of the class's
+    first representative, and its answer must agree with the class's
+    verdict. ``simple_only`` must be a bool. Every conflict lands in
     ``disagreements``, with the check that failed (``Disagreement.reason``).
     The labeled count of a class is n! / |Aut(G)|, the number of distinct
     labelings of G. The second pass is streamed, in order, to at most
@@ -759,8 +748,10 @@ def census_report(n: int, simple_only: bool = False, *, jobs: int = 1) -> Census
         raise SemidentError(f"census_report supports integers 1 <= n <= 5, got {n!r}")
     if not isinstance(jobs, Integral) or jobs < 1:
         raise SemidentError(f"census_report needs an integer jobs >= 1, got {jobs!r}")
+    if not isinstance(simple_only, (bool, np.bool_)):
+        raise SemidentError(f"census_report needs a boolean simple_only, got {simple_only!r}")
     workers = min(jobs, os.cpu_count() or 1)
-    report = CensusReport(n=n, simple_only=simple_only)
+    report = CensusReport(n=int(n), simple_only=bool(simple_only))
     factorial = math.factorial(n)
     edges = _mask_tables(n).edges
     conflicts, firsts = _dedup(n, simple_only)

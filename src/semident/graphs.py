@@ -7,9 +7,10 @@ is a pure function.
 Each graph stores its adjacency once, on construction, as one Python-int
 bitmask per node: ``_parents[v]``, ``_children[v]`` and ``_siblings[v]`` have
 bit w set when w is a parent, child or sibling of v (bit 0 and index 0 are
-unused). This module alone decides how adjacency is stored. It alone decides
-acyclicity too (``require_acyclic``, ``topological_order``): no other module
-runs the directed-cycle search. Set-valued walks (reachability, connectivity,
+unused). The criterion, the inversion steps, witness construction and the
+census read these masks directly. This module alone decides acyclicity
+(``require_acyclic``, ``topological_order``): no other module runs the
+directed-cycle search. Set-valued walks (reachability, connectivity,
 the fixpoint criterion) are one ``_closure`` of masks. Walks whose tree is
 read go through ``_bfs``, which visits neighbours in ascending order: witness
 construction reads its BFS trees, so its output depends on that order.
@@ -116,14 +117,6 @@ def _reject_edge(i: int, j: int, m: int):
     if i == j:
         raise SelfLoopError(f"self-loop at node {i}")
     raise GraphParseError(f"edge ({i},{j}) outside node range 1..{m}")
-
-
-def siblings_below(g: MixedGraph, i: int) -> frozenset:
-    """S(i): siblings of node i+1 among the first i nodes.
-
-    Assumes topologically relabeled nodes (as all stepwise formulas do).
-    """
-    return frozenset(j for j in g.siblings(i + 1) if j <= i)
 
 
 def is_simple(g: MixedGraph) -> bool:

@@ -46,7 +46,7 @@ from .errors import (
     SemidentError,
     UnresolvedFiberError,
 )
-from .graphs import MixedGraph, require_acyclic, siblings_below
+from .graphs import MixedGraph, _first_nodes, _members, require_acyclic
 from .params import phi
 
 #: relative residual threshold deciding whether a step system is consistent
@@ -83,10 +83,15 @@ class StepRecord:
 # -- the step kernel ----------------------------------------------------
 
 
-def _step_indices(g: MixedGraph, i: int) -> tuple[list[int], list[int]]:
-    """P(i) and S(i) of step i as sorted 0-based indices."""
-    p = sorted(v - 1 for v in g.parents(i + 1))
-    s = sorted(v - 1 for v in siblings_below(g, i))
+def _step_indices(parents: tuple, siblings: tuple, i: int) -> tuple[list[int], list[int]]:
+    """P(i) and S(i) of step i as sorted 0-based indices.
+
+    ``parents`` and ``siblings`` are adjacency masks of a graph with
+    topological labels, as ``MixedGraph._parents`` and ``_siblings`` store
+    them; S(i) holds the siblings of node i + 1 among the first i nodes.
+    """
+    p = [v - 1 for v in _members(parents[i + 1])]
+    s = [v - 1 for v in _members(siblings[i + 1] & _first_nodes(i))]
     return p, s
 
 
@@ -151,15 +156,17 @@ def _require_pd(omega: np.ndarray) -> None:
         raise NotPositiveDefiniteError("recovered omega is not positive definite")
 
 
-def _step_records(g: MixedGraph, lam: np.ndarray, omega: np.ndarray):
+def _step_records(parents: tuple, siblings: tuple, lam: np.ndarray, omega: np.ndarray):
     """Yield the rank-condition record of every step 1..m-1 in order.
 
     One pass of the kernel: (I - Lambda)^{-1} grows by one column per step.
-    ``g`` must carry topological labels.
+    ``parents`` and ``siblings`` are the adjacency masks of a graph with
+    topological labels (``_step_indices``).
     """
-    inv = linalg.identity(g.m, linalg.backend_of(lam))
-    for i in range(1, g.m):
-        p, s = _step_indices(g, i)
+    m = lam.shape[0]
+    inv = linalg.identity(m, linalg.backend_of(lam))
+    for i in range(1, m):
+        p, s = _step_indices(parents, siblings, i)
         yield _step_record(omega, inv, p, s, i)
         _grow_inverse(inv, lam, i, p)
 
@@ -172,7 +179,7 @@ def rank_condition(g: MixedGraph, lam: np.ndarray, omega: np.ndarray, i: int) ->
     _require_topological(g)
     if not 1 <= i <= g.m - 1:
         raise SemidentError(f"step index {i} out of range 1..{g.m - 1}")
-    return next(islice(_step_records(g, lam, omega), i - 1, None))
+    return next(islice(_step_records(g._parents, g._siblings, lam, omega), i - 1, None))
 
 
 def _require_consistent(res: linalg.SolveResult, i: int, scale: float) -> None:
@@ -196,13 +203,18 @@ def _walk(g: MixedGraph, sigma: np.ndarray):
     checked by ``_require_consistent``. Returns (state, i): the state
     (Lambda, Omega, (I - Lambda)^{-1}) as it stands before the first
     rank-deficient step i, or after the last step with i = None when every
-    step was solved.
+    step was solved. A ``sigma`` that is not m x m, or a float one with an
+    entry that is not finite, raises ``SemidentError``.
     """
     _require_topological(g)
+    if sigma.shape != (g.m, g.m):
+        raise SemidentError(f"sigma must be {g.m} x {g.m}, got shape {sigma.shape}")
+    if linalg.backend_of(sigma) == "float" and not np.isfinite(sigma).all():
+        raise SemidentError("sigma has an entry that is not finite")
     state = lam, omega, inv = _initial_state(sigma)
     scale = max(1.0, linalg.max_abs(sigma))
     for i in range(1, g.m):
-        p, s = _step_indices(g, i)
+        p, s = _step_indices(g._parents, g._siblings, i)
         if not _step_record(omega, inv, p, s, i).passed:
             return state, i
         res = _step_solve(sigma, inv, p, s, i)
@@ -294,7 +306,7 @@ def fiber_trace(g: MixedGraph, sigma: np.ndarray) -> FiberDescription:
         return FiberDescription("singleton", [(linalg.as_float(lam), linalg.as_float(omega))])
     if linalg.backend_of(sigma) == "float":
         return fiber_trace(g, _exact_sigma(sigma))
-    res = _step_solve(sigma, inv, *_step_indices(g, i), i)
+    res = _step_solve(sigma, inv, *_step_indices(g._parents, g._siblings, i), i)
     _require_consistent(res, i, max(1.0, linalg.max_abs(sigma)))
     if len(res.nullspace) > 1:
         return _unresolved(i, "deficiency exceeds one")
@@ -315,11 +327,12 @@ def _follow_line(g: MixedGraph, sigma, state, deficient_step: int, res):
     """
     lam, omega, inv = state
     [kernel] = res.nullspace
-    direction = _direction_dict(*_step_indices(g, deficient_step), kernel, deficient_step)
+    adj = g._parents, g._siblings
+    direction = _direction_dict(*_step_indices(*adj, deficient_step), kernel, deficient_step)
     x = res.solution + kernel * _RatFun((Fraction(0), Fraction(1)))
     constraints = []
     for i in range(deficient_step, g.m):
-        p, s = _step_indices(g, i)
+        p, s = _step_indices(*adj, i)
         ginv = inv[:i, :i]
         # not Sigma's block: past a deficient step Omega(t) matches Sigma
         # only at the roots of the constraints

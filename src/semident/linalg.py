@@ -336,12 +336,15 @@ def is_pd(a: np.ndarray) -> bool:
     matrix's own, and elimination stops at the first pivot that is not
     positive. The answer is whether every leading principal minor is
     positive, which for a symmetric matrix is positive definiteness
-    (Sylvester's criterion).
+    (Sylvester's criterion). A float matrix with an entry that is not
+    finite is not positive definite.
     """
     n = a.shape[0]
     if n == 0:
         return True
     if backend_of(a) == "float":
+        if not np.isfinite(a).all():
+            return False
         try:
             np.linalg.cholesky(a)
             return True

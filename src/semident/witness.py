@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,51 +171,21 @@ def witness_from_set(
 def _skeleton(gt: MixedGraph, to_topo: dict, a: tuple) -> tuple[MixedGraph, list[int]]:
     """The skeleton of the violating set ``a`` of ``gt``, and where its nodes sit in ``g``.
 
-    The skeleton depends only on the subgraph that ``a`` induces, so it is
-    memoized per induced subgraph (``_induced_skeleton``); ``pos`` is worked
-    out per call. ``pos[k]`` is the 0-based index in ``g`` of skeleton node
-    k + 1, the (k + 1)-th smallest node of ``a``.
+    The skeleton holds BFS trees toward the set's sink (``_skeleton_tree``): a
+    shortest-path arborescence and a bidirected spanning tree, labeled
+    1..|a|. ``pos[k]`` is the 0-based index in ``g`` of skeleton node k + 1,
+    the (k + 1)-th smallest node of ``a``.
     """
     mask = _node_mask(gt, a)
     if not mask:
         raise EmptySubsetError("induced subgraph of the empty set")
-    subset = _members(mask)
-    skeleton = _induced_skeleton(
-        mask,
-        tuple(gt._parents[v] & mask for v in subset),
-        tuple(gt._siblings[v] & mask for v in subset),
+    skeleton = MixedGraph(
+        m=mask.bit_count(),
+        directed=_skeleton_tree(gt._parents, mask),
+        bidirected=_skeleton_tree(gt._siblings, mask, True),
     )
     to_orig = {new: old for old, new in to_topo.items()}
-    return skeleton, [to_orig[v] - 1 for v in subset]
-
-
-@lru_cache(maxsize=4096)
-def _induced_skeleton(mask: int, parents: tuple, siblings: tuple) -> MixedGraph:
-    """The skeleton of the subgraph induced on the nodes of ``mask``, labeled 1..|mask|.
-
-    ``parents`` and ``siblings`` are the adjacency masks of those nodes, in
-    ascending order, cut to ``mask``; ``_skeleton_trees`` walks them. Bounded,
-    since ``witness_from_set`` serves graphs of any size; the census oracle
-    keys its own memo by the skeleton's edges instead.
-    """
-    subset = _members(mask)
-    _, directed, bidirected = _skeleton_trees(
-        dict(zip(subset, parents)), dict(zip(subset, siblings)), mask
-    )
-    return MixedGraph(m=len(subset), directed=directed, bidirected=bidirected)
-
-
-def _skeleton_trees(parents, siblings, mask: int) -> tuple[list, tuple, tuple]:
-    """The BFS trees of the skeleton of the subgraph induced on ``mask``.
-
-    ``parents`` and ``siblings`` map each node of ``mask`` (at least) to its
-    adjacency mask. The skeleton holds BFS trees toward the set's sink: a
-    shortest-path arborescence and a bidirected spanning tree
-    (``_skeleton_tree``). Returns ``(subset, directed, bidirected)``: the
-    nodes of ``mask`` in ascending order, and the trees' edges in local
-    labels (node ``subset[k]`` is k + 1).
-    """
-    return _members(mask), _skeleton_tree(parents, mask), _skeleton_tree(siblings, mask, True)
+    return skeleton, [to_orig[v] - 1 for v in _members(mask)]
 
 
 def _skeleton_tree(adj, mask: int, symmetric: bool = False) -> tuple:
@@ -227,7 +196,8 @@ def _skeleton_tree(adj, mask: int, symmetric: bool = False) -> tuple:
     in local labels (the k-th smallest node of ``mask`` is k), sorted, and
     with ``symmetric`` as ``(min, max)`` pairs. Relabeling in order keeps the
     ascending neighbour order of ``_bfs``, so the local tree is the one a
-    walk of the relabeled subgraph gives.
+    walk of the relabeled subgraph gives. The only tree builder: both
+    ``_skeleton`` and the census oracle (``census._mask_tree``) call it.
     """
     local = {v: k for k, v in enumerate(_members(mask), 1)}
     sink = mask.bit_length() - 1
@@ -259,7 +229,7 @@ def _skeleton_points(skeleton: MixedGraph, backend: str) -> tuple[np.ndarray, ..
     sigma = linalg.congruence(inv, omega)
 
     # kernel direction of the final step system
-    p, s = _step_indices(skeleton, n)
+    p, s = _step_indices(skeleton._parents, skeleton._siblings, n)
     alpha = linalg.to_array([1] * len(p), backend)
     beta = inv[:n, p] @ alpha
     d_omega = -(omega[:n, :n] @ beta)[s]
@@ -286,14 +256,12 @@ def _skeleton_points(skeleton: MixedGraph, backend: str) -> tuple[np.ndarray, ..
 
 
 def _lifted_witness(g: MixedGraph, pos: list[int], points: tuple) -> WitnessPair:
-    """The skeleton's two points lifted to ``g`` and checked there.
+    """The skeleton's two points lifted to ``g`` and checked there (``_checked_pair``).
 
     Off the skeleton's nodes both points take zero Lambda and identity
-    Omega. ``phi`` checks each lifted point's support and positive
-    definiteness on ``g``; the residual and separation are taken on ``g``.
-    The census oracle checks the same thing once per skeleton instead
-    (``census._mask_witness``): the lifted covariance is the skeleton's
-    embedded in an identity, so only the support on ``g`` is left per graph.
+    Omega. The census oracle checks the pair once per skeleton instead
+    (``census._oracle``): the lifted covariance is the skeleton's embedded
+    in an identity, so only the support on ``g`` is left per graph.
     """
     block = np.ix_(pos, pos)
     backend = linalg.backend_of(points[0])
@@ -306,11 +274,21 @@ def _lifted_witness(g: MixedGraph, pos: list[int], points: tuple) -> WitnessPair
         return lam_full, omega_full
 
     point_a, point_b = lift(*points[:2]), lift(*points[2:])
+    return WitnessPair(point_a, point_b, *_checked_pair(g, point_a, point_b))
+
+
+def _checked_pair(g: MixedGraph, point_a: tuple, point_b: tuple) -> tuple:
+    """``(sigma_a, separation, residual)`` of two points ``(Lambda, Omega)`` of ``g``.
+
+    ``phi`` checks each point's support, symmetry and positive definiteness
+    on ``g``. ``sigma_a`` is the first point's covariance, ``separation``
+    the max-norm distance between the points and ``residual`` the max-norm
+    difference of their covariances.
+    """
     sigma_a = phi(g, *point_a)
-    sigma_b = phi(g, *point_b)
-    residual = linalg.max_abs_diff(sigma_a, sigma_b)
+    residual = linalg.max_abs_diff(sigma_a, phi(g, *point_b))
     separation = max(
         linalg.max_abs_diff(point_a[0], point_b[0]),
         linalg.max_abs_diff(point_a[1], point_b[1]),
     )
-    return WitnessPair(point_a, point_b, sigma_a, separation, residual)
+    return sigma_a, separation, residual

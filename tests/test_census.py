@@ -289,6 +289,18 @@ def test_census_report_rejects_non_integer_arguments(n, jobs):
         census_report(n, jobs=jobs)
 
 
+@pytest.mark.parametrize("simple_only", ["yes", 1, None])
+def test_census_report_rejects_a_non_boolean_simple_only(simple_only):
+    with pytest.raises(SemidentError, match="boolean simple_only"):
+        census_report(2, simple_only=simple_only)
+
+
+def test_census_report_takes_numpy_scalars_and_reports_plain_json():
+    report = census_report(np.int64(2), simple_only=np.True_)
+    assert type(report.n) is int and report.simple_only is True
+    assert json.dumps(report.to_json()) == json.dumps(census_report(2, simple_only=True).to_json())
+
+
 def test_census_report_jobs_validated_and_capped(monkeypatch):
     sizes = []
 
@@ -469,7 +481,7 @@ def test_identity_point_closed_form_matches_the_exact_walk(monkeypatch):
     # point pass, so only the closed form for Lambda = 0, Omega = I can raise
     census = semident.census
     monkeypatch.setattr(census, "_table_scan", lambda n, dmask, bmask: None)
-    monkeypatch.setattr(census, "_step_records", lambda topo, lam, omega: iter(()))
+    monkeypatch.setattr(census, "_step_records", lambda parents, siblings, lam, omega: iter(()))
     failed = 0
     for n in range(1, 5):
         masks = range(len(census._mask_tables(n).edges))
@@ -477,7 +489,7 @@ def test_identity_point_closed_form_matches_the_exact_walk(monkeypatch):
         for dmask in masks:
             for bmask in masks:
                 g = _mask_graph(n, dmask, bmask)
-                walk = [rec.step for rec in _step_records(g, lam, omega) if not rec.passed]
+                walk = _failing_steps(g, lam, omega)
                 assert bool(walk) == bool(dmask & bmask)
                 if not walk:
                     assert census._oracle((n, dmask, bmask), n, dmask, bmask).injective
@@ -489,6 +501,11 @@ def test_identity_point_closed_form_matches_the_exact_walk(monkeypatch):
                 failed += 1
     # the representatives that are not simple: 4^k - 3^k of them on k pairs
     assert failed == (4 - 3) + (64 - 27) + (4096 - 729)
+
+
+def _failing_steps(g, lam, omega):
+    """The steps whose rank condition fails at (``lam``, ``omega``), from one walk of ``g``'s masks."""
+    return [rec.step for rec in _step_records(g._parents, g._siblings, lam, omega) if not rec.passed]
 
 
 def _reference_probe_point(topo, key):
@@ -517,8 +534,9 @@ def test_probe_point_is_one_valid_draw_per_class(classes_up_to_four):
         if hit is not None:
             continue
         m = topo.m
-        lam, omega = semident.census._probe_point(topo, key)
-        again = semident.census._probe_point(topo, key)
+        edges = tuple(sorted(topo.directed)), tuple(sorted(topo.bidirected))
+        lam, omega = semident.census._probe_point(m, *edges, key)
+        again = semident.census._probe_point(m, *edges, key)
         assert np.array_equal(lam, again[0]) and np.array_equal(omega, again[1])
         assert lam.shape == omega.shape == (m, m)
         assert lam.dtype == omega.dtype == object
@@ -546,7 +564,7 @@ def _rebind_probe_point(monkeypatch, omega_diagonal):
     Omega = diag(``omega_diagonal``), and return that point."""
     n = len(omega_diagonal)
     point = linalg.zeros(n, n, "rational"), linalg.to_array(np.diag(omega_diagonal), "rational")
-    monkeypatch.setattr(semident.census, "_probe_point", lambda topo, key: point)
+    monkeypatch.setattr(semident.census, "_probe_point", lambda m, directed, bidirected, key: point)
     return point
 
 
@@ -555,7 +573,7 @@ def test_degenerate_probe_raises_the_per_point_message(monkeypatch):
     # omega_33 = 0 loses rank at step 3 only; omega_22 = omega_33 = 0 at steps 2 and 3
     for diagonal, failures in (([1, 1, 0, 1], [3]), ([1, 0, 0, 1], [2, 3])):
         lam, omega = _rebind_probe_point(monkeypatch, diagonal)
-        assert [rec.step for rec in _step_records(g, lam, omega) if not rec.passed] == failures
+        assert _failing_steps(g, lam, omega) == failures
         with pytest.raises(SemidentError) as exc:
             injectivity_oracle(g)
         assert str(exc.value) == f"subset scan says injective but rank fails at step {failures[0]}"
@@ -568,9 +586,9 @@ def test_first_failing_probe_names_its_own_step(monkeypatch):
     # the exact point fails every step, but Lambda = 0, Omega = I comes first
     # and loses rank at step 3 only
     lam, omega = _rebind_probe_point(monkeypatch, [0, 0, 0, 0])
-    assert [rec.step for rec in _step_records(g, lam, omega) if not rec.passed] == [1, 2, 3]
+    assert _failing_steps(g, lam, omega) == [1, 2, 3]
     identity = linalg.zeros(4, 4, "rational"), linalg.identity(4, "rational")
-    assert [rec.step for rec in _step_records(g, *identity) if not rec.passed] == [3]
+    assert _failing_steps(g, *identity) == [3]
     with pytest.raises(SemidentError) as exc:
         injectivity_oracle(g)
     assert str(exc.value) == "subset scan says injective but rank fails at step 3"
@@ -607,6 +625,13 @@ def _reference_skeleton(topo, to_topo, a):
     return skeleton, [to_orig[back_to_topo[k]] - 1 for k in range(1, sub.m + 1)]
 
 
+def _oracle_witness(n, dmask, bmask, a):
+    """The skeleton check ``census._oracle`` makes inside the violating set ``a``."""
+    census = semident.census
+    trees = census._mask_tree(n, "->", dmask, a), census._mask_tree(n, "<->", bmask, a)
+    return census._skeleton_witness(a.bit_count(), *trees)
+
+
 def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
     noninjective = [
         (g, topo, to_topo, hit)
@@ -620,9 +645,9 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
         if hit is not None:
             noninjective.append((g, topo, to_topo, hit))
     assert len(noninjective) > 1403 + 150
-    census = semident.census
     for g, topo, to_topo, hit in noninjective:
-        check = census._mask_witness(topo.m, *census._pair_masks(topo), _node_mask(topo, hit[0]))
+        masks = semident.census._pair_masks(topo)
+        check = _oracle_witness(topo.m, *masks, _node_mask(topo, hit[0]))
         ref = witness_from_set(g, topo, to_topo, hit[0], "rational")
         assert (check.residual, check.separation) == (ref.residual, ref.separation)
         assert check.residual == 0 and check.separation != 0
@@ -643,36 +668,49 @@ def test_oracle_witness_equals_witness_from_set(classes_up_to_four):
             assert all(type(x) is type(y) for x, y in zip(a.flat, b.flat))
 
 
-def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(monkeypatch, iv_graph):
+@pytest.fixture
+def fresh_tree_memo():
+    """``census._mask_tree`` with its memo cleared before and after the test."""
+    semident.census._mask_tree.cache_clear()
+    yield semident.census._mask_tree
+    semident.census._mask_tree.cache_clear()
+
+
+def test_oracle_raises_on_a_skeleton_edge_missing_from_the_graph(
+    monkeypatch, iv_graph, fresh_tree_memo
+):
     census = semident.census
     dmask, bmask = census._pair_masks(iv_graph)
     a, _ = census._table_scan(3, dmask, bmask)
-    trees = {"->": census._mask_tree(3, "->", dmask, a), "<->": census._mask_tree(3, "<->", bmask, a)}
+    trees = {False: fresh_tree_memo(3, "->", dmask, a), True: fresh_tree_memo(3, "<->", bmask, a)}
     # the iv graph's skeleton trees, checked on graphs that lack one of their edges
-    monkeypatch.setattr(census, "_mask_tree", lambda n, kind, mask, a: trees[kind])
-    without_bow = MixedGraph(m=3, directed={(1, 2)}, bidirected={(2, 3)})
+    monkeypatch.setattr(witness, "_skeleton_tree", lambda adj, mask, symmetric=False: trees[symmetric])
+    fresh_tree_memo.cache_clear()
+    without_bow = census._pair_masks(MixedGraph(m=3, directed={(1, 2)}, bidirected={(2, 3)}))
     with pytest.raises(SupportViolationError, match="skeleton edge 1->2 maps to 2->3, not an edge"):
-        census._mask_witness(3, *census._pair_masks(without_bow), a)
-    without_sibling = MixedGraph(m=3, directed={(1, 2), (2, 3)})
+        fresh_tree_memo(3, "->", without_bow[0], a)
+    without_sibling = census._pair_masks(MixedGraph(m=3, directed={(1, 2), (2, 3)}))
     with pytest.raises(SupportViolationError, match="edge 1<->2 maps to 2<->3, not an edge"):
-        census._mask_witness(3, *census._pair_masks(without_sibling), a)
+        fresh_tree_memo(3, "<->", without_sibling[1], a)
 
 
-def test_skeleton_edge_off_the_graph_is_an_oracle_error_in_the_census(monkeypatch, iv_graph):
+def test_skeleton_edge_off_the_graph_is_an_oracle_error_in_the_census(
+    monkeypatch, iv_graph, fresh_tree_memo
+):
     census = semident.census
     target = canonical_form(iv_graph)
-    iv_dmask, _ = census._pair_masks(iv_graph)
-    tree_of = census._mask_tree
+    iv_parents = census._mask_tables(3).parents[census._pair_masks(iv_graph)[0]]
+    tree_of = witness._skeleton_tree
 
-    def reversed_edges(n, kind, mask, a):
-        tree = tree_of(n, kind, mask, a)
+    def reversed_edges(adj, mask, symmetric=False):
+        tree = tree_of(adj, mask, symmetric)
         # the iv graph is its class's only upper-triangular representative,
         # and the only one on three nodes whose scan finds {2, 3} in this part
-        if (n, kind, mask, a) == (3, "->", iv_dmask, 0b1100):
+        if (adj, mask, symmetric) == (iv_parents, 0b1100, False):
             return tuple((w, v) for v, w in tree)
         return tree
 
-    monkeypatch.setattr(census, "_mask_tree", reversed_edges)
+    monkeypatch.setattr(witness, "_skeleton_tree", reversed_edges)
     report = census_report(3)
     (row,) = [r for r in report.rows if r.key == target]
     (item,) = report.disagreements
@@ -684,20 +722,20 @@ def test_memoized_skeleton_trees_match_the_graph_walk():
     census = semident.census
     checked = 0
     for n in range(1, 5):
-        tables = census._mask_tables(n)
         for _, dmask, bmask in _first_representatives(n):
             hit = census._table_scan(n, dmask, bmask)
             if hit is None:
                 continue
             a = hit[0]
             memo = (census._mask_tree(n, "->", dmask, a), census._mask_tree(n, "<->", bmask, a))
-            trees = witness._skeleton_trees(tables.parents[dmask], tables.siblings[bmask], a)
-            assert trees[1:] == memo
             g = _mask_graph(n, dmask, bmask)
-            assert witness._skeleton_trees(g._parents, g._siblings, a) == trees
-            skeleton, pos = _reference_skeleton(g, {v: v for v in g.nodes}, _members(a))
+            trees = witness._skeleton_tree(g._parents, a), witness._skeleton_tree(g._siblings, a, True)
+            assert trees == memo
+            identity = {v: v for v in g.nodes}
+            skeleton, pos = _reference_skeleton(g, identity, _members(a))
             assert skeleton == MixedGraph(m=len(pos), directed=memo[0], bidirected=memo[1])
-            assert pos == [v - 1 for v in trees[0]]
+            assert pos == [v - 1 for v in _members(a)]
+            assert witness._skeleton(g, identity, _members(a)) == (skeleton, pos)
             checked += 1
     assert checked == 1403  # the noninjective classes on n <= 4
 
@@ -770,7 +808,7 @@ def test_census_kernel_matches_the_public_oracle_on_relabeled_classes():
     assert moved == 0
 
 
-def test_census_pass_two_builds_graphs_only_for_step_walks_and_memo_misses(count_calls):
+def test_census_pass_two_builds_graphs_only_for_skeleton_memo_misses(count_calls):
     memo = semident.census._skeleton_witness
     memo.cache_clear()
     relabels = count_calls(semident.graphs, "relabel_topologically")
@@ -783,9 +821,9 @@ def test_census_pass_two_builds_graphs_only_for_step_walks_and_memo_misses(count
     info = memo.cache_info()
     injective = report.unlabeled_count(identifiable=True)
     noninjective = report.unlabeled_count(identifiable=False)
-    # one graph per injective step walk, one per skeleton-memo miss
+    # the injective step walks read masks; a graph is built per skeleton-memo miss only
     assert (injective, noninjective) == (190, 1377)
-    assert built == injective + info.misses
+    assert built == info.misses == 87
     assert info.hits + info.misses == noninjective
     # one entry per distinct skeleton, taken here on the graph path
     skeletons = set()

@@ -33,9 +33,9 @@ from semident.graphs import (
     relabel,
     relabel_topologically,
     require_acyclic,
-    siblings_below,
     topological_order,
 )
+from semident.inversion import _step_indices
 
 
 def test_basic_accessors(iv_graph):
@@ -131,11 +131,6 @@ def test_relabel_topologically_moves_names_with_their_nodes():
     assert topo.names == ("z", "x", "y")
     for old, new in mapping.items():
         assert topo.name_of(new) == g.name_of(old)
-
-
-def test_siblings_below():
-    g = MixedGraph(m=4, directed={(1, 2), (2, 3)}, bidirected={(1, 4), (3, 4)})
-    assert siblings_below(g, 3) == frozenset({1, 3})
 
 
 def test_bidirected_connected():
@@ -289,9 +284,10 @@ def test_adjacency_index_matches_edge_scan(g):
             (a if b == i else b) for a, b in g.bidirected if i in (a, b)
         )
         if i < g.m:
-            assert siblings_below(g, i) == frozenset(
-                j for j in range(1, i + 1) if g.has_bidirected(j, i + 1)
-            )
+            # the inversion steps read P(i) and S(i) off the same masks
+            p, s = _step_indices(g._parents, g._siblings, i)
+            assert p == sorted(j - 1 for j, k in g.directed if k == i + 1)
+            assert s == sorted(j - 1 for j, k in g.bidirected if k == i + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -363,7 +359,6 @@ def test_fixpoint_and_exhaustive_scan_agree_on_random_acyclic_graphs(g):
 def test_nodes_outside_the_graph(iv_graph):
     for i in (-1, 0, 4):
         assert iv_graph.parents(i) == iv_graph.children(i) == iv_graph.siblings(i) == frozenset()
-    assert siblings_below(iv_graph, 3) == frozenset()
     with pytest.raises(EmptySubsetError):
         bidirected_connected(iv_graph, [2, 4])
     with pytest.raises(EmptySubsetError):

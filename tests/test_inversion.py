@@ -27,6 +27,7 @@ from semident.graphs import MixedGraph
 from semident.inversion import (
     _pmul,
     _real_roots,
+    _step_indices,
     _step_records,
     fiber_trace,
     invert,
@@ -112,6 +113,13 @@ def test_rank_condition_matches_full_inverse_formula(
     assert not rank_condition(chain_bow_graph, *chain_bow_point, 4).passed
 
 
+def test_step_indices_read_parents_and_earlier_siblings():
+    g = MixedGraph(m=4, directed={(1, 2), (2, 3)}, bidirected={(1, 4), (3, 4)})
+    # S(3): the siblings 1 and 3 of node 4; P(3) is empty
+    assert _step_indices(g._parents, g._siblings, 3) == ([], [0, 2])
+    assert _step_indices(g._parents, g._siblings, 2) == ([1], [])
+
+
 def test_step_records_match_rank_condition(
     spiked_chain_graph, spiked_chain_point, chain_bow_graph, chain_bow_point
 ):
@@ -123,17 +131,19 @@ def test_step_records_match_rank_condition(
         backend = ("float", "rational")[k % 2]
         cases.append((g, *sample_parameters(g, rng.randint(0, 10**6), backend=backend)))
     for g, lam, omega in cases:
-        records = list(_step_records(g, lam, omega))
+        records = list(_step_records(g._parents, g._siblings, lam, omega))
         assert [rec.step for rec in records] == list(range(1, g.m))
         for rec in records:
             ref = rank_condition(g, lam, omega, rec.step)
             assert rec.matrix.shape == ref.matrix.shape
             assert (rec.matrix == ref.matrix).all()
             assert (rec.rank, rec.required_rank) == (ref.rank, ref.required_rank)
-    spiked = list(_step_records(spiked_chain_graph, *spiked_chain_point))
-    bow = list(_step_records(chain_bow_graph, *chain_bow_point))
-    assert [rec.step for rec in spiked if not rec.passed] == [3]
-    assert [rec.step for rec in bow if not rec.passed] == [4]
+    # the spiked chain fails step 3 only, the chain with bows step 4 only
+    failing = [
+        [rec.step for rec in _step_records(g._parents, g._siblings, lam, omega) if not rec.passed]
+        for g, lam, omega in cases[:2]
+    ]
+    assert failing == [[3], [4]]
 
 
 def test_roundtrip_float_tolerance():
@@ -540,3 +550,35 @@ def test_entry_points_reject_cycles_and_unsorted_labels():
         with pytest.raises(SemidentError) as exc:
             call(unsorted)
         assert not isinstance(exc.value, CyclicDirectedPartError)
+
+
+@pytest.mark.parametrize("entry", [invert, fiber_trace])
+def test_entry_points_reject_a_sigma_of_the_wrong_shape_or_not_finite(entry):
+    chain = MixedGraph(m=3, directed={(1, 2), (2, 3)})
+    for sigma in (np.eye(2), np.eye(4), np.ones(3), linalg.identity(2, "rational")):
+        with pytest.raises(SemidentError, match="sigma must be 3 x 3"):
+            entry(chain, sigma)
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, 5):
+            sigma = np.eye(3)
+            sigma.flat[k] = bad
+            with pytest.raises(SemidentError, match="not finite"):
+                entry(chain, sigma)
+
+
+@pytest.mark.xfail(strict=True, reason="the reported PD interval can miss the input point")
+def test_family_interval_holds_the_input_point():
+    # t = 0 is a pole: lambda_13 = (sigma_23 - lambda_12 sigma_13) / omega_12, and
+    # Omega(t) is positive definite on both (-inf, 0) and (0, inf)
+    g = MixedGraph(m=4, directed={(1, 2), (1, 3), (1, 4)}, bidirected={(1, 2), (1, 3)})
+    lam, omega = sample_parameters(g, 5, backend="rational")
+    desc = fiber_trace(g, phi(g, lam, omega))
+    assert (desc.kind, desc.deficient_step) == ("family", 1)
+    # omega_12 = t on the solution line, so the input sits at t = 27/8
+    t = omega[0, 1]
+    assert t == Fraction(27, 8)
+    lam_t, omega_t = desc.family.evaluate(t)
+    assert np.array_equal(lam_t, linalg.as_float(lam))
+    assert np.array_equal(omega_t, linalg.as_float(omega))
+    lo, hi = desc.family.interval
+    assert lo < t < hi

@@ -284,6 +284,16 @@ def test_is_pd():
     assert not linalg.is_pd(b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_pd_is_false_on_a_non_finite_float_entry(bad):
+    # Cholesky does not notice a NaN on the diagonal, so it is checked first
+    for k in range(2):
+        a = np.eye(2)
+        a.flat[3 * k] = bad
+        assert not linalg.is_pd(a)
+    assert not linalg.is_pd(np.array([[2.0, bad], [bad, 2.0]]))
+
+
 def _fraction_is_pd(a):
     """Positive definiteness by Fraction pivot signs, as linalg once decided it."""
     n = a.shape[0]
